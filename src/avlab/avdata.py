@@ -15,13 +15,14 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from collections.abc import Iterator
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import container
 from .errors import ConfigError
-from .pseudofake import ChunkParams, ManipulationSpec, sample_chunk
+from .pseudofake import ChunkParams, ManipulationSpec, apply_manipulation, sample_chunk
 from .rng import substream
 
 LABELS = ("real", "fake")
@@ -299,6 +300,32 @@ def synth_fake_pair(
     return AVPair(visual=visual, audio=audio, label="fake", meta=meta)
 
 
+def iter_pairs(
+    cfg: SynthConfig,
+    n: int,
+    fake_fraction: float,
+    fake_mode: str = "global_desync",
+    chunk: ChunkParams | None = None,
+    seed: int | None = None,
+    id_prefix: str = "pair",
+) -> Iterator[AVPair]:
+    """Yield a deterministic dataset pair by pair: sample ``i`` always
+    comes from the rng substream ``(seed, "sample", i)``, so generation
+    order cannot change the data.  Fakes occupy the tail indices."""
+    cfg.validate()
+    if not (0.0 <= fake_fraction <= 1.0):
+        raise ConfigError(f"fake_fraction must lie in [0, 1], got {fake_fraction}")
+    seed = cfg.seed if seed is None else seed
+    n_fake = int(round(n * fake_fraction))
+    for i in range(n):
+        rng = substream(seed, "sample", i)
+        sid = f"{id_prefix}-{i:05d}"
+        if i < n - n_fake:
+            yield synth_real_pair(cfg, rng, source_id=sid)
+        else:
+            yield synth_fake_pair(cfg, fake_mode, rng, chunk=chunk, source_id=sid)
+
+
 def make_pairs(
     cfg: SynthConfig,
     n: int,
@@ -308,23 +335,28 @@ def make_pairs(
     seed: int | None = None,
     id_prefix: str = "pair",
 ) -> list[AVPair]:
-    """Deterministic dataset: sample ``i`` always comes from the rng
-    substream ``(seed, "sample", i)``, so generation order (or worker
-    count) cannot change the data.  Fakes occupy the tail indices."""
-    cfg.validate()
-    if not (0.0 <= fake_fraction <= 1.0):
-        raise ConfigError(f"fake_fraction must lie in [0, 1], got {fake_fraction}")
-    seed = cfg.seed if seed is None else seed
-    n_fake = int(round(n * fake_fraction))
-    pairs = []
-    for i in range(n):
-        rng = substream(seed, "sample", i)
-        sid = f"{id_prefix}-{i:05d}"
-        if i < n - n_fake:
-            pairs.append(synth_real_pair(cfg, rng, source_id=sid))
-        else:
-            pairs.append(synth_fake_pair(cfg, fake_mode, rng, chunk=chunk, source_id=sid))
-    return pairs
+    """The dataset of :func:`iter_pairs` as a list."""
+    return list(iter_pairs(cfg, n, fake_fraction, fake_mode, chunk, seed, id_prefix))
+
+
+def apply_to_pair(
+    pair: AVPair, modality: str, spec: ManipulationSpec, donor: AVPair | None = None
+) -> AVPair:
+    """Return a pseudo-fake copy of ``pair`` with ``spec`` applied to the
+    ``"visual"`` or ``"audio"`` clip and added to its manipulation records.
+    ``donor`` supplies the chunk of a ``replace`` spec, and its source id
+    is recorded as the spec's ``donor_id``."""
+    donor_clip = None
+    if donor is not None:
+        spec = replace(spec, donor_id=donor.meta.source_id)
+        donor_clip = getattr(donor, modality)
+    clips = {"visual": pair.visual, "audio": pair.audio}
+    clips[modality] = apply_manipulation(clips[modality], spec, donor_clip)
+    meta = PairMeta(source_id=pair.meta.source_id, origin="pseudo_fake")
+    meta.visual_manipulations += pair.meta.visual_manipulations
+    meta.audio_manipulations += pair.meta.audio_manipulations
+    getattr(meta, f"{modality}_manipulations").append(spec)
+    return AVPair(**clips, label="fake", meta=meta)
 
 
 def save_pair(path, pair: AVPair) -> None:

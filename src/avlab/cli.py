@@ -5,16 +5,12 @@ run that writes outputs also writes the fully-resolved config snapshot
 (``resolved_config.json``) so it can be replayed bit-identically.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
-``AVLAB_NUM_WORKERS`` parallelizes dataset synthesis across processes;
-sample ``i`` always comes from the same rng substream, so the output
-bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -88,70 +84,47 @@ def _write_resolved(cfg: trainloop.RunConfig, out: Path) -> None:
 # ------------------------------------------------------------------ datasets
 
 
-def _synth_one(task) -> str:
-    cfg_dict, split, i, n_fake_tail, total, out_dir, seed = task
-    cfg = avdata.SynthConfig.from_dict(cfg_dict["synth"])
-    rng = substream(seed, "sample", i)
-    sid = f"{split}-{i:05d}"
-    if i < total - n_fake_tail:
-        pair = avdata.synth_real_pair(cfg, rng, source_id=sid)
-    else:
-        if split == "eval_fine_grained":
-            chunk = pseudofake.ChunkParams(**cfg_dict["eval_data"]["fine_chunk"])
-            pair = avdata.synth_fake_pair(cfg, "local_desync", rng, chunk=chunk, source_id=sid)
-        else:
-            mode = cfg_dict["train_data"]["fake_mode"] if split == "train" else "global_desync"
-            chunk = None
-            if mode == "local_desync":
-                chunk = pseudofake.ChunkParams(**cfg_dict["eval_data"]["fine_chunk"])
-            pair = avdata.synth_fake_pair(cfg, mode, rng, chunk=chunk, source_id=sid)
-    path = Path(out_dir) / f"pair-{i:05d}.avtc"
-    avdata.save_pair(path, pair)
-    return str(path)
-
-
-def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    _write_resolved(cfg, out)
-    splits = {
-        "train": (cfg.train_data.n, int(round(cfg.train_data.n * cfg.train_data.fake_fraction))),
-        "eval_in_distribution": (cfg.eval_data.n, cfg.eval_data.n // 2),
-        "eval_fine_grained": (cfg.eval_data.n, cfg.eval_data.n // 2),
-    }
-    cfg_dict = cfg.to_dict()
-    tasks = []
-    for split, (total, n_fake) in splits.items():
-        split_dir = out / split
-        split_dir.mkdir(parents=True, exist_ok=True)
-        seed = derive_seed(cfg.seed, "dataset", split)
-        for i in range(total):
-            tasks.append((cfg_dict, split, i, n_fake, total, str(split_dir), seed))
-
-    workers = int(os.environ.get("AVLAB_NUM_WORKERS", "1"))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            pool.map(_synth_one, tasks)
-    else:
-        for task in tasks:
-            _synth_one(task)
-
-    manifest = {
-        "splits": {name: {"n": total, "n_fake": n_fake} for name, (total, n_fake) in splits.items()},
-        "seed": cfg.seed,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(tasks)} pairs under {out}")
-    return EXIT_OK
+def _split_dir(split: str) -> str:
+    # directory of ``split`` under a `synth` output, also the seed path of its data
+    return split if split == "train" else f"eval_{split}"
 
 
 def _load_dir(path: Path) -> list[avdata.AVPair]:
     files = sorted(path.glob("pair-*.avtc"))
     if not files:
         raise ConfigError(f"no pair-*.avtc files under {path}")
-    return [avdata.load_pair(f) for f in files]
+    pairs = [avdata.load_pair(f) for f in files]
+    for f, pair in zip(files, pairs):
+        try:
+            pair.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{f}: {exc}") from exc
+    return pairs
+
+
+def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):
+    """``split`` read from the `synth` output directory ``data``, or generated pair by pair."""
+    if data:
+        return _load_dir(Path(data) / _split_dir(split))
+    return evalkit.split_pairs(cfg, split, derive_seed(cfg.seed, "dataset", _split_dir(split)))
+
+
+def cmd_synth(args) -> int:
+    cfg = load_config(args)
+    out = Path(args.out)
+    _write_resolved(cfg, out)
+    manifest = {"splits": {}, "seed": cfg.seed}
+    for split in ("train", *evalkit.SPLITS):
+        split_dir = out / _split_dir(split)
+        split_dir.mkdir(parents=True, exist_ok=True)
+        labels = []
+        for i, pair in enumerate(_split(cfg, split)):  # one pair in memory at a time
+            avdata.save_pair(split_dir / f"pair-{i:05d}.avtc", pair)
+            labels.append(pair.label)
+        manifest["splits"][split_dir.name] = {"n": len(labels), "n_fake": labels.count("fake")}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {sum(s['n'] for s in manifest['splits'].values())} pairs under {out}")
+    return EXIT_OK
 
 
 def cmd_augment(args) -> int:
@@ -171,23 +144,8 @@ def cmd_augment(args) -> int:
         if pair.label != "real":
             result = pair
         elif fixed_spec is not None:
-            modality = args.modality
-            clip = pair.visual if modality == "visual" else pair.audio
-            donor_clip = None
-            spec = pseudofake.ManipulationSpec.from_dict(fixed_spec.to_dict())
-            if spec.kind == "replace":
-                donor = donors[(i + 1) % len(donors)]
-                donor_clip = donor.visual if modality == "visual" else donor.audio
-                spec.donor_id = donor.meta.source_id
-            manipulated = pseudofake.apply_manipulation(clip, spec, donor_clip)
-            meta = avdata.PairMeta(source_id=pair.meta.source_id, origin="pseudo_fake")
-            (meta.visual_manipulations if modality == "visual" else meta.audio_manipulations).append(spec)
-            result = avdata.AVPair(
-                visual=manipulated if modality == "visual" else pair.visual,
-                audio=manipulated if modality == "audio" else pair.audio,
-                label="fake",
-                meta=meta,
-            )
+            donor = donors[(i + 1) % len(donors)] if fixed_spec.kind == "replace" else None
+            result = avdata.apply_to_pair(pair, args.modality, fixed_spec, donor)
         else:
             rng = substream(cfg.seed, "augment-cli", i)
             result = trainloop.augment_sample(pair, donors, cfg, rng, counters)
@@ -209,17 +167,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args)
     out = Path(args.out)
     _write_resolved(cfg, out)
-    if args.data:
-        train_set = _load_dir(Path(args.data) / "train")
-    else:
-        train_set = avdata.make_pairs(
-            cfg.synth,
-            cfg.train_data.n,
-            cfg.train_data.fake_fraction,
-            cfg.train_data.fake_mode,
-            seed=derive_seed(cfg.seed, "dataset", "train"),
-            id_prefix="train",
-        )
+    train_set = list(_split(cfg, "train", args.data))
     cfg.checkpoint_dir = str(out)
     result = trainloop.train(cfg, train_set)
     print(
@@ -236,16 +184,7 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     policy = evalkit.SubsequencePolicy(length=cfg.synth.t_v)
     for split in evalkit.SPLITS:
-        if args.data:
-            eval_set = _load_dir(Path(args.data) / f"eval_{split}")
-        else:
-            eval_set = evalkit.make_split(
-                cfg.synth,
-                split,
-                cfg.eval_data.n,
-                seed=derive_seed(cfg.seed, "dataset", f"eval_{split}"),
-                fine_chunk=cfg.eval_data.fine_chunk,
-            )
+        eval_set = list(_split(cfg, split, args.data))
         report = evalkit.evaluate(model, eval_set, policy)
         (out / f"report_{split}.json").write_text(report.to_json() + "\n")
         (out / f"report_{split}.txt").write_text(report.to_text() + "\n")

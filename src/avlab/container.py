@@ -22,6 +22,7 @@ values.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,8 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container written by :func:`write_container`.
 
     Raises :class:`ContainerFormatError` (with a byte offset) on bad
-    magic, a truncated file, or a payload whose size disagrees with the
-    declared shapes.
+    magic, a truncated file, a header that breaks the header schema, or
+    a payload whose size disagrees with the declared shapes.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
@@ -83,10 +84,8 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         header = json.loads(raw[pos : pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerFormatError(f"unparseable header: {exc}", pos) from exc
+    _check_header(header, pos)
     pos += header_len
-
-    if not isinstance(header, dict) or "tensors" not in header or "meta" not in header:
-        raise ContainerFormatError("header missing 'tensors'/'meta' keys", pos - header_len)
 
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -95,7 +94,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise ContainerFormatError(f"tensor {name!r}: unsupported dtype {dtype!r}", pos)
         if name in tensors:
             raise ContainerFormatError(f"duplicate tensor name {name!r}", pos)
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
+        nbytes = 4 * math.prod(shape)
         if len(raw) < pos + nbytes:
             raise ContainerFormatError(
                 f"truncated payload for tensor {name!r}, need {nbytes} bytes", pos
@@ -106,3 +105,23 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if pos != len(raw):
         raise ContainerFormatError(f"{len(raw) - pos} trailing bytes after last payload", pos)
     return tensors, dict(header["meta"])
+
+
+def _check_header(header, offset: int) -> None:
+    """Raise :class:`ContainerFormatError` at ``offset`` unless ``header``
+    follows the header schema."""
+    if not isinstance(header, dict) or "tensors" not in header or "meta" not in header:
+        raise ContainerFormatError("header missing 'tensors'/'meta' keys", offset)
+    if not isinstance(header["tensors"], list):
+        raise ContainerFormatError("header 'tensors' must be a list", offset)
+    for k, entry in enumerate(header["tensors"]):
+        if not isinstance(entry, dict) or not {"name", "dtype", "shape"} <= entry.keys():
+            raise ContainerFormatError(f"tensor entry {k} needs the keys name, dtype and shape", offset)
+        shape = entry["shape"]
+        if not isinstance(entry["name"], str):
+            raise ContainerFormatError(f"tensor entry {k}: name must be a string", offset)
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ContainerFormatError(f"tensor entry {k}: shape must list non-negative ints", offset)
+    meta = header["meta"]
+    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
+        raise ContainerFormatError("header 'meta' must map strings to strings", offset)

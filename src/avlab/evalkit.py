@@ -13,16 +13,17 @@ fakes, ``fine_grained`` uses locally desynced fakes with short chunks.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .avdata import AVPair, SynthConfig, make_pairs
+from .avdata import AVPair, SynthConfig, iter_pairs
 from .detector import load_checkpoint
 from .errors import ConfigError, MetricError
 from .pseudofake import ChunkParams
 from .rng import derive_seed
-from .trainloop import RunConfig, train
+from .trainloop import EvalSpec, RunConfig, train
 
 SPLITS = ("in_distribution", "fine_grained")
 
@@ -205,6 +206,31 @@ def evaluate(
     return EvalReport(auc=value, subsequence_length=policy.length, stride=policy.stride, videos=videos)
 
 
+def split_pairs(cfg: RunConfig, split: str, seed: int) -> Iterator[AVPair]:
+    """Yield the pairs of ``split`` (``"train"`` or one of :data:`SPLITS`) from ``seed``.
+
+    The one split policy: ``train`` follows ``cfg.train_data``, its
+    ``local_desync`` fakes with the default :class:`ChunkParams`; an eval
+    split is ``cfg.eval_data.n`` pairs, half fake, ``global_desync`` or
+    ``local_desync`` with ``cfg.eval_data.fine_chunk``.  Source ids are
+    ``train-NNNNN`` and ``eval-<split>-NNNNN``.
+    """
+    if split == "train":
+        data = cfg.train_data
+        return iter_pairs(
+            cfg.synth, data.n, data.fake_fraction, data.fake_mode, seed=seed, id_prefix="train"
+        )
+    if split == "in_distribution":
+        mode, chunk = "global_desync", None
+    elif split == "fine_grained":
+        mode, chunk = "local_desync", cfg.eval_data.fine_chunk
+    else:
+        raise ConfigError(f"unknown split {split!r}, expected 'train' or one of {SPLITS}")
+    return iter_pairs(
+        cfg.synth, cfg.eval_data.n, 0.5, mode, chunk=chunk, seed=seed, id_prefix=f"eval-{split}"
+    )
+
+
 def make_split(
     synth_cfg: SynthConfig,
     split: str,
@@ -212,15 +238,11 @@ def make_split(
     seed: int,
     fine_chunk: ChunkParams | None = None,
 ) -> list[AVPair]:
-    """Balanced eval split: half real, half fake of the split's kind."""
+    """Balanced eval split of :func:`split_pairs`: half real, half fake of the split's kind."""
     if split not in SPLITS:
         raise ConfigError(f"unknown eval split {split!r}, expected one of {SPLITS}")
-    if split == "in_distribution":
-        return make_pairs(synth_cfg, n, 0.5, "global_desync", seed=seed, id_prefix=f"eval-{split}")
-    chunk = fine_chunk or ChunkParams(r_min=0.2, r_max=0.5)
-    return make_pairs(
-        synth_cfg, n, 0.5, "local_desync", chunk=chunk, seed=seed, id_prefix=f"eval-{split}"
-    )
+    eval_data = EvalSpec(n=n, fine_chunk=fine_chunk or EvalSpec().fine_chunk)
+    return list(split_pairs(RunConfig(synth=synth_cfg, eval_data=eval_data), split, seed))
 
 
 # ------------------------------------------------------------------ ablation
@@ -295,24 +317,11 @@ def ablation_run(
             cfg = _variant(base_cfg, axis, value)
             cfg.seed = int(seed)
             cfg.checkpoint_dir = None
-            train_set = make_pairs(
-                cfg.synth,
-                cfg.train_data.n,
-                cfg.train_data.fake_fraction,
-                cfg.train_data.fake_mode,
-                seed=derive_seed(int(seed), "train-data"),
-                id_prefix="train",
-            )
+            train_set = list(split_pairs(cfg, "train", derive_seed(int(seed), "train-data")))
             result = train(cfg, train_set)
             policy = SubsequencePolicy(length=cfg.synth.t_v)
             for split in SPLITS:
-                eval_set = make_split(
-                    cfg.synth,
-                    split,
-                    cfg.eval_data.n,
-                    seed=derive_seed(int(seed), "eval", split),
-                    fine_chunk=cfg.eval_data.fine_chunk,
-                )
+                eval_set = list(split_pairs(cfg, split, derive_seed(int(seed), "eval", split)))
                 per_seed[split].append(evaluate(result.model, eval_set, policy).auc)
         table.rows.append(
             {

@@ -7,9 +7,8 @@ PCG64 is fixed for the lifetime of a release so that a given
 
 Independent substreams are derived from a root seed plus a key path,
 e.g. ``substream(seed, "aug", epoch, batch)``.  Substreams are stable
-under reordering of work across workers: sample ``i`` of a dataset is
-always drawn from ``substream(seed, "sample", i)`` no matter which
-process generates it.
+under reordering of work: sample ``i`` of a dataset is always drawn
+from ``substream(seed, "sample", i)`` no matter when it is generated.
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -94,19 +91,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -206,7 +190,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    # exp(-x) overflows to inf for very negative x, giving the exact limit 0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         _accum(x, g * s * (1.0 - s))

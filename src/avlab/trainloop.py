@@ -5,7 +5,7 @@ a pseudo-fake built by manipulating one or both modalities; the combo
 (fake audio, fake visual, or both) is drawn from ``combo_weights``.
 Augmentation is re-sampled every epoch from per-sample rng substreams
 ``(seed, "aug", epoch, index)``, so results do not depend on batch
-partitioning or worker count.
+partitioning.
 
 The loop is plain Adam on mean BCE; the checkpoint kept is the epoch
 with the lowest mean per-sample training loss (ties break to the
@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .avdata import AVPair, PairMeta, SynthConfig
+from .avdata import AVPair, SynthConfig, apply_to_pair
 from .detector import Detector, DetectorConfig, save_checkpoint
 from .errors import ChunkRejected, ConfigError, DivergenceError
-from .pseudofake import ChunkParams, apply_manipulation, sample_manipulation
+from .pseudofake import ChunkParams, sample_manipulation
 from .rng import derive_seed, substream
 from .tinynet import Adam
 from .tinynet.tensor import BCE_EPS, bce_loss
@@ -154,13 +154,11 @@ def augment_sample(
     combo = COMBOS[int(rng.choice(len(COMBOS), p=probs / probs.sum()))]
     targets = ("visual", "audio") if combo == "both" else (combo,)
 
-    visual, audio = pair.visual, pair.audio
-    meta = PairMeta(source_id=pair.meta.source_id, origin="pseudo_fake")
+    result = pair
     try:
         for modality in targets:
-            clip = visual if modality == "visual" else audio
-            spec = sample_manipulation(cfg.kind_policy, clip.t, cfg.chunk, rng)
-            donor_clip = None
+            spec = sample_manipulation(cfg.kind_policy, getattr(pair, modality).t, cfg.chunk, rng)
+            donor = None
             if spec.kind == "replace":
                 if not donors:
                     raise ChunkRejected("no donors available for replace")
@@ -168,21 +166,13 @@ def augment_sample(
                 if donors[j] is pair and len(donors) > 1:
                     j = (j + 1) % len(donors)
                 donor = donors[j]
-                donor_clip = donor.visual if modality == "visual" else donor.audio
-                spec.donor_id = donor.meta.source_id
-            manipulated = apply_manipulation(clip, spec, donor_clip)
-            if modality == "visual":
-                visual = manipulated
-                meta.visual_manipulations.append(spec)
-            else:
-                audio = manipulated
-                meta.audio_manipulations.append(spec)
+            result = apply_to_pair(result, modality, spec, donor)
     except ChunkRejected:
         counters["rejected"] = counters.get("rejected", 0) + 1
         counters["real"] = counters.get("real", 0) + 1
         return pair
     counters["pseudofake"] = counters.get("pseudofake", 0) + 1
-    return AVPair(visual=visual, audio=audio, label="fake", meta=meta)
+    return result
 
 
 def _bce_values(y: np.ndarray, labels: np.ndarray) -> np.ndarray:

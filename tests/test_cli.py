@@ -1,15 +1,16 @@
 """CLI contract: subcommands, exit codes, overrides, reproducibility."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from avlab import avdata
 from avlab.cli import main
+from avlab.evalkit import SPLITS, make_split
+from avlab.pseudofake import apply_manipulation
+from avlab.rng import derive_seed
+from avlab.trainloop import RunConfig
 
 TINY_CONFIG = {
     "epochs": 2,
@@ -54,15 +55,40 @@ def test_synth_deterministic_directories(tiny_config_file, tmp_path):
     assert (out1 / "resolved_config.json").exists()
 
 
-def test_synth_worker_count_invariance(tiny_config_file, tmp_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    env = dict(os.environ, AVLAB_NUM_WORKERS="2")
-    cmd = [sys.executable, "-m", "avlab.cli", "synth", "--config", str(tiny_config_file)]
-    subprocess.run(cmd + ["--out", str(out1)], check=True, capture_output=True)
-    subprocess.run(cmd + ["--out", str(out2)], check=True, env=env, capture_output=True)
-    d1, d2 = dir_digest(out1), dir_digest(out2)
-    assert d1.keys() == d2.keys()
-    assert all(d1[k] == d2[k] for k in d1)
+def _pair_record(pair):
+    return (
+        pair.visual.data.tobytes(),
+        pair.audio.data.tobytes(),
+        pair.label,
+        pair.meta.to_strings(),
+    )
+
+
+@pytest.mark.parametrize("eval_n", [8, 7])
+@pytest.mark.parametrize("fake_mode", ["global_desync", "local_desync"])
+def test_synth_matches_in_memory_splits(tiny_config_file, tmp_path, fake_mode, eval_n):
+    out = tmp_path / "data"
+    rc = main([
+        "synth", "--config", str(tiny_config_file), "--out", str(out),
+        "--set", f"train_data.fake_mode={fake_mode}", "--set", f"eval_data.n={eval_n}",
+    ])
+    assert rc == 0
+    cfg = RunConfig.from_dict(json.loads((out / "resolved_config.json").read_text()))
+    # the data `avlab train` and `avlab eval` generate when given no --data
+    expected = {
+        "train": avdata.make_pairs(
+            cfg.synth, cfg.train_data.n, cfg.train_data.fake_fraction, cfg.train_data.fake_mode,
+            seed=derive_seed(cfg.seed, "dataset", "train"), id_prefix="train",
+        )
+    }
+    for split in SPLITS:
+        expected[f"eval_{split}"] = make_split(
+            cfg.synth, split, eval_n, seed=derive_seed(cfg.seed, "dataset", f"eval_{split}"),
+            fine_chunk=cfg.eval_data.fine_chunk,
+        )
+    for name, pairs in expected.items():
+        stored = [avdata.load_pair(f) for f in sorted((out / name).glob("pair-*.avtc"))]
+        assert [_pair_record(p) for p in stored] == [_pair_record(p) for p in pairs], name
 
 
 def test_train_eval_round_trip(tiny_config_file, tmp_path):
@@ -121,11 +147,16 @@ def test_augment_with_sampled_specs(tiny_config_file, tmp_path):
     assert originally_real  # prob=1 converted every real pair
 
 
-def test_augment_with_fixed_spec(tiny_config_file, tmp_path):
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "flip", "i": 1, "l": 4, "param": 2}, {"kind": "replace", "i": 2, "l": 3}],
+    ids=["flip", "replace"],
+)
+def test_augment_with_fixed_spec(tiny_config_file, tmp_path, spec):
     data_dir = tmp_path / "data"
     main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)])
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"kind": "flip", "i": 1, "l": 4, "param": 2}))
+    spec_file.write_text(json.dumps(spec))
     out = tmp_path / "aug"
     rc = main([
         "augment", "--config", str(tiny_config_file),
@@ -133,10 +164,50 @@ def test_augment_with_fixed_spec(tiny_config_file, tmp_path):
         "--spec", str(spec_file), "--modality", "visual",
     ])
     assert rc == 0
-    pairs = sorted(out.glob("pair-*.avtc"))
-    assert pairs
-    converted = [avdata.load_pair(p) for p in pairs]
-    assert any(p.meta.visual_manipulations for p in converted)
+    sources = [avdata.load_pair(p) for p in sorted((data_dir / "train").glob("pair-*.avtc"))]
+    outputs = [avdata.load_pair(p) for p in sorted(out.glob("pair-*.avtc"))]
+    assert len(outputs) == len(sources)
+    by_id = {p.meta.source_id: p for p in sources}
+    for src, got in zip(sources, outputs):
+        if src.label != "real":
+            assert _pair_record(got) == _pair_record(src)
+            continue
+        [recorded] = got.meta.visual_manipulations
+        assert not got.meta.audio_manipulations
+        assert (recorded.kind, recorded.i, recorded.l) == (spec["kind"], spec["i"], spec["l"])
+        donor = by_id[recorded.donor_id].visual if recorded.kind == "replace" else None
+        expected = apply_manipulation(src.visual, recorded, donor)
+        assert got.visual.data.tobytes() == expected.data.tobytes()
+        assert got.audio.data.tobytes() == src.audio.data.tobytes()
+        assert (got.label, got.meta.origin, got.meta.source_id) == ("fake", "pseudo_fake", src.meta.source_id)
+
+
+def _break_header(path):
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    del header["tensors"][0]["dtype"]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + header_len :])
+
+
+def _break_visual_range(path):
+    pair = avdata.load_pair(path)
+    pair.visual.data[0, 0, 0, 0] = 7.0
+    avdata.save_pair(path, pair)
+
+
+@pytest.mark.parametrize("corrupt", [_break_header, _break_visual_range], ids=["header", "visual_range"])
+def test_augment_rejects_bad_stored_pair(tiny_config_file, tmp_path, corrupt):
+    data_dir = tmp_path / "data"
+    main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)])
+    corrupt(data_dir / "train" / "pair-00003.avtc")
+    out = tmp_path / "aug"
+    rc = main([
+        "augment", "--config", str(tiny_config_file), "--data", str(data_dir / "train"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert not list(out.glob("pair-*.avtc"))
 
 
 def test_gradcheck_exit_code_and_report(capsys):

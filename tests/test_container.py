@@ -1,5 +1,6 @@
 """Container format: fixed encoding, round trips, malformed files."""
 
+import json
 import struct
 
 import numpy as np
@@ -106,3 +107,36 @@ def test_nonfinite_payload_round_trips(tmp_path):
     write_container(path, {"t": arr}, {})
     back, _ = read_container(path)
     assert back["t"].tobytes() == arr.tobytes()
+
+
+GOOD_ENTRY = {"name": "t", "dtype": "f32", "shape": [1]}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"tensors": "zz", "meta": {}},
+        {"tensors": [["t", "f32", [1]]], "meta": {}},
+        {"tensors": [{"name": "t", "shape": [1]}], "meta": {}},
+        {"tensors": [{"dtype": "f32", "shape": [1]}], "meta": {}},
+        {"tensors": [{"name": "t", "dtype": "f32"}], "meta": {}},
+        {"tensors": [dict(GOOD_ENTRY, name=3)], "meta": {}},
+        {"tensors": [dict(GOOD_ENTRY, shape="1")], "meta": {}},
+        {"tensors": [dict(GOOD_ENTRY, shape=[-1])], "meta": {}},
+        {"tensors": [dict(GOOD_ENTRY, shape=[1.0])], "meta": {}},
+        {"tensors": [dict(GOOD_ENTRY, shape=[True])], "meta": {}},
+        {"tensors": [GOOD_ENTRY], "meta": ["a"]},
+        {"tensors": [GOOD_ENTRY], "meta": {"label": 1}},
+    ],
+    ids=[
+        "tensors_not_list", "entry_not_object", "no_dtype", "no_name", "no_shape", "name_not_str",
+        "shape_not_list", "negative_dim", "float_dim", "bool_dim", "meta_list", "meta_value_not_str",
+    ],
+)
+def test_malformed_header_schema(tmp_path, header):
+    path = tmp_path / "schema.avtc"
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + struct.pack("<f", 1.0))
+    with pytest.raises(ContainerFormatError) as err:
+        read_container(path)
+    assert err.value.offset == len(MAGIC) + 8

@@ -1,5 +1,7 @@
 """Autodiff stack: hand-computable values, gradient checks, Adam behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,16 @@ def test_conv1d_vs_conv3d_cross_check():
         stride=(1, 1, 2), padding=(0, 0, 2),
     ).data
     assert np.allclose(out1, out3[:, :, 0, 0, :], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_saturates_without_warning(dtype):
+    x = np.array([-1000.0, -100.0, -1.5, 0.0, 2.0, 100.0, 1000.0], dtype=dtype)
+    with np.errstate(over="ignore"):
+        reference = 1.0 / (1.0 + np.exp(-x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tn.sigmoid(Tensor(x))
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == reference.tobytes()
+    assert out.data[0] == 0.0 and out.data[-1] == 1.0
