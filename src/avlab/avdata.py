@@ -369,9 +369,12 @@ def save_pair(path, pair: AVPair) -> None:
 
 def load_pair(path) -> AVPair:
     tensors, meta = container.read_container(path)
-    return AVPair(
-        visual=VisualClip(tensors["visual"]),
-        audio=AudioClip(tensors["audio"]),
-        label=meta["label"],
-        meta=PairMeta.from_strings(meta),
-    )
+    try:
+        return AVPair(
+            visual=VisualClip(tensors["visual"]),
+            audio=AudioClip(tensors["audio"]),
+            label=meta["label"],
+            meta=PairMeta.from_strings(meta),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: stored pair has no {exc} tensor or meta entry") from exc

@@ -274,9 +274,15 @@ def save_checkpoint(path, model: Detector, extra_meta: dict[str, str] | None = N
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
+    """Rebuild a saved model; a stale ``config_hash`` or an unknown tensor is a ConfigError."""
     tensors, meta = container.read_container(path)
     config = DetectorConfig.from_dict(json.loads(meta["detector_config"]))
+    if meta.get("config_hash") != config.hash():
+        raise ConfigError(f"{path}: checkpoint config_hash {meta.get('config_hash')!r} != {config.hash()!r}")
     model = Detector(config, seed=0, dtype=dtype)
+    extra = sorted(set(tensors) - {name for name, _ in model.params()})
+    if extra:
+        raise ConfigError(f"{path}: checkpoint holds tensors the model has no parameter for: {extra}")
     for name, t in model.params():
         if name not in tensors:
             raise ConfigError(f"checkpoint missing parameter {name!r}")

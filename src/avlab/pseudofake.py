@@ -87,11 +87,16 @@ class ManipulationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ManipulationSpec":
+        """Parse a spec read from JSON; a missing or non-integer field is a ConfigError."""
+        if not isinstance(d, dict) or not {"kind", "i", "l"} <= d.keys():
+            raise ConfigError(f"manipulation spec must be an object with kind, i and l, got {d!r}")
+        if any(d.get(k) is not None and type(d[k]) is not int for k in ("i", "l", "param")):
+            raise ConfigError(f"manipulation spec fields i, l and param must be integers, got {d!r}")
         return cls(
             kind=d["kind"],
-            i=int(d["i"]),
-            l=int(d["l"]),
-            param=None if d.get("param") is None else int(d["param"]),
+            i=d["i"],
+            l=d["l"],
+            param=d.get("param"),
             direction=d.get("direction"),
             donor_id=d.get("donor_id"),
         )

@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from avlab import avdata
+from avlab import avdata, container
 from avlab.cli import main
+from avlab.detector import Detector, DetectorConfig, save_checkpoint
 from avlab.evalkit import SPLITS, make_split
 from avlab.pseudofake import apply_manipulation
 from avlab.rng import derive_seed
@@ -197,7 +199,29 @@ def _break_visual_range(path):
     avdata.save_pair(path, pair)
 
 
-@pytest.mark.parametrize("corrupt", [_break_header, _break_visual_range], ids=["header", "visual_range"])
+def _dropping(key):
+    # rewrite a stored pair without one of its tensors or meta entries
+    def corrupt(path):
+        tensors, meta = container.read_container(path)
+        tensors.pop(key, None)
+        meta.pop(key, None)
+        container.write_container(path, tensors, meta)
+
+    return corrupt
+
+
+def _break_manipulation_record(path):
+    tensors, meta = container.read_container(path)
+    meta["visual_manipulations"] = json.dumps([{"kind": "flip", "l": 4, "param": 2}])
+    container.write_container(path, tensors, meta)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_break_header, _break_visual_range, _dropping("label"), _dropping("visual"), _dropping("audio"),
+     _break_manipulation_record],
+    ids=["header", "visual_range", "no_label", "no_visual", "no_audio", "manipulation_record"],
+)
 def test_augment_rejects_bad_stored_pair(tiny_config_file, tmp_path, corrupt):
     data_dir = tmp_path / "data"
     main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)])
@@ -208,6 +232,55 @@ def test_augment_rejects_bad_stored_pair(tiny_config_file, tmp_path, corrupt):
     ])
     assert rc == 1
     assert not list(out.glob("pair-*.avtc"))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "flip", "l": 4, "param": 2},
+        {"i": 1, "l": 4, "param": 2},
+        {"kind": "flip", "i": 1, "param": 2},
+        {"kind": "flip", "i": "1", "l": 4, "param": 2},
+        {"kind": "flip", "i": 1, "l": 4.5, "param": 2},
+        {"kind": "flip", "i": 1, "l": 4, "param": True},
+        [{"kind": "flip", "i": 1, "l": 4, "param": 2}],
+    ],
+    ids=["no_i", "no_kind", "no_l", "str_i", "float_l", "bool_param", "not_object"],
+)
+def test_augment_rejects_bad_spec_file(tiny_config_file, tmp_path, spec, capsys):
+    data_dir = tmp_path / "data"
+    main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)])
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "aug"
+    rc = main([
+        "augment", "--config", str(tiny_config_file),
+        "--data", str(data_dir / "train"), "--out", str(out), "--spec", str(spec_file),
+    ])
+    assert rc == 1
+    assert "manipulation spec" in capsys.readouterr().err
+    assert not list(out.glob("pair-*.avtc"))
+
+
+def _wrong_config_hash(tensors, meta):
+    meta["config_hash"] = "0" * 16
+
+
+def _extra_tensor(tensors, meta):
+    tensors["visual.9.weight"] = np.zeros((2, 2), np.float32)
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_config_hash, _extra_tensor], ids=["config_hash", "extra_tensor"])
+def test_eval_rejects_inconsistent_checkpoint(tiny_config_file, tmp_path, corrupt):
+    path = tmp_path / "checkpoint.avtc"
+    save_checkpoint(path, Detector(DetectorConfig(**TINY_CONFIG["detector"])))
+    tensors, meta = container.read_container(path)
+    corrupt(tensors, meta)
+    container.write_container(path, tensors, meta)
+    out = tmp_path / "eval"
+    rc = main(["eval", "--config", str(tiny_config_file), "--checkpoint", str(path), "--out", str(out)])
+    assert rc == 1
+    assert not list(out.glob("report_*"))
 
 
 def test_gradcheck_exit_code_and_report(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from avlab import container
 from avlab.detector import (
     Detector,
     DetectorConfig,
@@ -233,6 +234,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["config_hash"] == m.config.hash()
     y_after, _, _ = back.forward(v, a)
     assert np.array_equal(y_before.data, y_after.data)
+
+
+def test_checkpoint_rejects_config_hash_mismatch(tmp_path):
+    path = tmp_path / "ckpt.avtc"
+    save_checkpoint(path, toy_model(seed=3))
+    tensors, meta = container.read_container(path)
+    meta["config_hash"] = DetectorConfig(t_prime=4).hash()
+    container.write_container(path, tensors, meta)
+    with pytest.raises(ConfigError, match="config_hash"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unexpected_tensor(tmp_path):
+    path = tmp_path / "ckpt.avtc"
+    save_checkpoint(path, toy_model(seed=3))
+    tensors, meta = container.read_container(path)
+    tensors["fc3.weight"] = np.ones((4, 1), np.float32)
+    container.write_container(path, tensors, meta)
+    with pytest.raises(ConfigError, match="fc3.weight"):
+        load_checkpoint(path)
 
 
 def test_full_model_gradcheck_single_instance():

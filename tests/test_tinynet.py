@@ -166,3 +166,73 @@ def test_sigmoid_saturates_without_warning(dtype):
     assert out.data.dtype == dtype
     assert out.data.tobytes() == reference.tobytes()
     assert out.data[0] == 0.0 and out.data[-1] == 1.0
+
+
+def _naive_conv(x, w, stride, padding, g):
+    """Loop-over-positions cross-correlation of (B, C, *S) with (O, C, *K):
+    returns the output and, for the output gradient ``g``, the input and
+    weight gradients."""
+    ks = w.shape[2:]
+    pad = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+    xp = np.pad(x, pad)
+    out_sizes = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x.shape[2:], ks, stride, padding)]
+    out = np.zeros((x.shape[0], w.shape[0], *out_sizes))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for pos in np.ndindex(*out_sizes):
+        box = (slice(None), slice(None)) + tuple(
+            slice(o * s, o * s + k) for o, s, k in zip(pos, stride, ks)
+        )
+        patch = xp[box]
+        taps = tuple(range(1, w.ndim))
+        out[(slice(None), slice(None)) + pos] = np.tensordot(patch, w, axes=(taps, taps))
+        gpos = g[(slice(None), slice(None)) + pos]
+        gxp[box] += np.tensordot(gpos, w, axes=(1, 0))
+        gw += np.tensordot(gpos, patch, axes=(0, 0))
+    inner = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))
+    return out, gxp[inner], gw
+
+
+CONV_REFERENCE_TOL = 1e-12  # relative to the largest reference magnitude, float64
+
+# (input shape, kernel shape, stride, padding): every layer geometry of the
+# default detector (visual stem, residual convs and their 1x1x1 projections,
+# the five audio convs and the k=1 attention projections), the two gradcheck
+# suite shapes, and a non-cubic single-channel case.
+CONV_CASES = {
+    "visual.0": ((2, 3, 4, 9, 10), (8, 3, 3, 5, 5), (1, 4, 4), (1, 2, 2)),
+    "visual.1.conv1": ((2, 8, 4, 5, 6), (8, 8, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    "visual.1.conv2": ((2, 8, 2, 3, 3), (8, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "visual.1.proj": ((2, 8, 4, 5, 6), (8, 8, 1, 1, 1), (2, 2, 2), (0, 0, 0)),
+    "visual.2.conv1": ((2, 8, 3, 5, 4), (16, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+    "visual.2.conv2": ((2, 16, 3, 3, 2), (16, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "visual.2.proj": ((2, 8, 3, 5, 4), (16, 8, 1, 1, 1), (1, 2, 2), (0, 0, 0)),
+    "audio.0": ((2, 1, 50), (8, 1, 9), (4,), (4,)),
+    "audio.1": ((2, 8, 13), (8, 8, 9), (4,), (4,)),
+    "audio.2": ((2, 8, 11), (16, 8, 5), (2,), (2,)),
+    "audio.3": ((2, 16, 6), (16, 16, 5), (2,), (2,)),
+    "audio.4": ((2, 16, 5), (16, 16, 3), (1,), (1,)),
+    "attn": ((2, 16, 8), (4, 16, 1), (1,), (0,)),
+    "gradcheck.conv3d": ((2, 3, 5, 6, 6), (4, 3, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+    "gradcheck.conv1d": ((2, 3, 17), (4, 3, 5), (2,), (2,)),
+    "non_cubic": ((1, 1, 4, 5, 7), (1, 1, 2, 3, 2), (1, 2, 1), (0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv_matches_naive_reference(case):
+    x_shape, w_shape, stride, padding = CONV_CASES[case]
+    rng = substream(10, "conv-reference", case)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    if len(x_shape) == 5:
+        out = tn.conv3d(x, w, stride, padding)
+    else:
+        out = tn.conv1d(x, w, stride[0], padding[0])
+    g = rng.standard_normal(out.shape)
+    tn.tsum(tn.mul(out, Tensor(g))).backward()
+
+    ref_out, ref_gx, ref_gw = _naive_conv(x.data, w.data, stride, padding, g)
+    for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw)):
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert np.abs(got - ref).max() <= CONV_REFERENCE_TOL * np.abs(ref).max()
