@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,13 +167,6 @@ class SynthConfig:
     @property
     def samples_per_frame(self) -> int:
         return self.t_a // self.t_v
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
 
 
 def envelope(n: int, bandwidth: float, rng: np.random.Generator) -> np.ndarray:
@@ -368,13 +361,18 @@ def save_pair(path, pair: AVPair) -> None:
 
 
 def load_pair(path) -> AVPair:
+    """Read and validate a stored pair; a missing entry or an invalid pair is a ConfigError naming ``path``."""
     tensors, meta = container.read_container(path)
     try:
-        return AVPair(
+        pair = AVPair(
             visual=VisualClip(tensors["visual"]),
             audio=AudioClip(tensors["audio"]),
             label=meta["label"],
             meta=PairMeta.from_strings(meta),
         )
+        pair.validate()
     except KeyError as exc:
         raise ConfigError(f"{path}: stored pair has no {exc} tensor or meta entry") from exc
+    except ValueError as exc:  # a manipulation record that is not JSON, or any ConfigError
+        raise ConfigError(f"{path}: {exc}") from exc
+    return pair

@@ -5,6 +5,9 @@ run that writes outputs also writes the fully-resolved config snapshot
 (``resolved_config.json``) so it can be replayed bit-identically.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
+Validation errors include every ``ConfigError``: an unknown key, a
+wrong-typed value or a malformed detector block in a ``--config`` or
+``--spec`` file, a ``--set`` value or a checkpoint config.
 """
 
 from __future__ import annotations
@@ -45,27 +48,18 @@ def _parse_override(text: str) -> tuple[list[str], object]:
 
 
 def _apply_override(tree: dict, path: list[str], value) -> None:
+    # an unknown key is left for the decoder to reject, with its dotted path
     node = tree
     for part in path[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"override path {'.'.join(path)!r} does not exist in the config")
-        node = node[part]
-    if not isinstance(node, dict) or path[-1] not in node:
-        raise ConfigError(f"override path {'.'.join(path)!r} does not exist in the config")
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override path {'.'.join(path)!r}: {part} is not a config section")
     node[path[-1]] = value
 
 
 def load_config(args) -> trainloop.RunConfig:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
-    else:
-        raw = {}
-    try:
-        resolved = trainloop.RunConfig.from_dict(raw).to_dict()
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    resolved = trainloop.RunConfig.from_dict(raw).to_dict()
     for item in args.set or []:
         path, value = _parse_override(item)
         _apply_override(resolved, path, value)
@@ -93,13 +87,7 @@ def _load_dir(path: Path) -> list[avdata.AVPair]:
     files = sorted(path.glob("pair-*.avtc"))
     if not files:
         raise ConfigError(f"no pair-*.avtc files under {path}")
-    pairs = [avdata.load_pair(f) for f in files]
-    for f, pair in zip(files, pairs):
-        try:
-            pair.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{f}: {exc}") from exc
-    return pairs
+    return [avdata.load_pair(f) for f in files]
 
 
 def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):

@@ -24,6 +24,7 @@ import numpy as np
 from . import container
 from .errors import ConfigError, ShapeError
 from .rng import substream
+from .schema import decode
 from .tinynet import tensor as tn
 from .tinynet.layers import Conv1d, Conv3d, Linear
 from .tinynet.tensor import Tensor
@@ -47,6 +48,26 @@ def default_audio_blocks(c_prime: int) -> list[dict]:
         {"out": c_prime, "kernel": 5, "stride": 2},
         {"out": c_prime, "kernel": 3, "stride": 1},
     ]
+
+
+def _positive_int(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+def _check_block(where: str, block, visual: bool) -> None:
+    """Every block needs an int ``out`` >= 1.  A visual block needs ``kernel``
+    and ``stride`` as 3 positive ints and a ``type`` of conv (the default) or
+    res; an audio block needs them as positive ints."""
+    if not isinstance(block, dict) or not _positive_int(block.get("out")):
+        raise ConfigError(f"{where} must be an object with an int out >= 1, got {block!r}")
+    for key in ("kernel", "stride"):
+        v = block.get(key)
+        if visual and not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_positive_int, v))):
+            raise ConfigError(f"{where}.{key} must be a list of 3 positive ints, got {v!r}")
+        if not visual and not _positive_int(v):
+            raise ConfigError(f"{where}.{key} must be a positive int, got {v!r}")
+    if visual and block.get("type", "conv") not in ("conv", "res"):
+        raise ConfigError(f"{where}.type must be 'conv' or 'res', got {block['type']!r}")
 
 
 @dataclass
@@ -87,6 +108,8 @@ class DetectorConfig:
         for blocks, last_key in ((self.visual_blocks, "visual"), (self.audio_blocks, "audio")):
             if not blocks:
                 raise ConfigError(f"{last_key}_blocks must be nonempty")
+            for n, block in enumerate(blocks):
+                _check_block(f"{last_key}_blocks[{n}]", block, last_key == "visual")
             if blocks[-1]["out"] != self.c_prime:
                 raise ConfigError(
                     f"last {last_key} block must output c_prime={self.c_prime} channels, "
@@ -95,10 +118,6 @@ class DetectorConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        return cls(**d)
 
     def hash(self) -> str:
         return hashlib.sha256(
@@ -276,7 +295,12 @@ def save_checkpoint(path, model: Detector, extra_meta: dict[str, str] | None = N
 def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
     """Rebuild a saved model; a stale ``config_hash`` or an unknown tensor is a ConfigError."""
     tensors, meta = container.read_container(path)
-    config = DetectorConfig.from_dict(json.loads(meta["detector_config"]))
+    if "detector_config" not in meta:
+        raise ConfigError(f"{path}: checkpoint meta has no detector_config entry")
+    try:
+        config = decode(DetectorConfig, json.loads(meta["detector_config"]), "checkpoint detector_config")
+    except ValueError as exc:  # not JSON, or not a DetectorConfig
+        raise ConfigError(f"{path}: {exc}") from exc
     if meta.get("config_hash") != config.hash():
         raise ConfigError(f"{path}: checkpoint config_hash {meta.get('config_hash')!r} != {config.hash()!r}")
     model = Detector(config, seed=0, dtype=dtype)

@@ -87,6 +87,12 @@ class ScoredVideo:
         return float(np.mean(self.scores))
 
 
+def _columns(rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-align the cells of ``rows`` in columns two spaces apart."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 @dataclass
 class EvalReport:
     auc: float
@@ -122,8 +128,7 @@ class EvalReport:
             rows.append(
                 (v.video_id, v.label, str(len(v.scores)), f"{v.video_score:.4f}", "yes" if v.padded else "")
             )
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+        lines = _columns(rows)
         lines.append(f"AUC: {self.auc:.4f}  ({len(self.videos)} videos)")
         return "\n".join(lines)
 
@@ -295,8 +300,7 @@ class AblationTable:
         rows = [header]
         for r in self.rows:
             rows.append((str(r["value"]), f"{r['auc_in_distribution']:.4f}", f"{r['auc_fine_grained']:.4f}"))
-        widths = [max(len(row[c]) for row in rows) for c in range(3)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+        lines = _columns(rows)
         lines.insert(1, "-" * len(lines[0]))
         return "\n".join(lines)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ChunkRejected, ConfigError, DonorError
+from .schema import decode
 
 KINDS = ("replace", "repeat", "flip", "translate")
 DIRECTIONS = ("left", "right")
@@ -87,19 +88,7 @@ class ManipulationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ManipulationSpec":
-        """Parse a spec read from JSON; a missing or non-integer field is a ConfigError."""
-        if not isinstance(d, dict) or not {"kind", "i", "l"} <= d.keys():
-            raise ConfigError(f"manipulation spec must be an object with kind, i and l, got {d!r}")
-        if any(d.get(k) is not None and type(d[k]) is not int for k in ("i", "l", "param")):
-            raise ConfigError(f"manipulation spec fields i, l and param must be integers, got {d!r}")
-        return cls(
-            kind=d["kind"],
-            i=d["i"],
-            l=d["l"],
-            param=d.get("param"),
-            direction=d.get("direction"),
-            donor_id=d.get("donor_id"),
-        )
+        return decode(cls, d, "manipulation spec")
 
 
 def sample_chunk(T: int, cp: ChunkParams, rng: np.random.Generator) -> tuple[int, int]:

@@ -50,12 +50,3 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def parameters_of(modules: dict[str, object]):
-    """Flatten {prefix: layer} into [(prefix.name, Tensor), ...]."""
-    out = []
-    for prefix, layer in modules.items():
-        for name, t in layer.params():
-            out.append((f"{prefix}.{name}", t))
-    return out

@@ -10,6 +10,9 @@ partitioning.
 The loop is plain Adam on mean BCE; the checkpoint kept is the epoch
 with the lowest mean per-sample training loss (ties break to the
 earliest epoch).
+
+:class:`RunConfig` is read from JSON by :func:`avlab.schema.decode`: an
+unknown key or a wrong-typed value is a ``ConfigError`` naming its path.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .detector import Detector, DetectorConfig, save_checkpoint
 from .errors import ChunkRejected, ConfigError, DivergenceError
 from .pseudofake import ChunkParams, sample_manipulation
 from .rng import derive_seed, substream
+from .schema import decode
 from .tinynet import Adam
 from .tinynet.tensor import BCE_EPS, bce_loss
 
@@ -108,21 +112,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        for key, sub in (
-            ("chunk", ChunkParams),
-            ("detector", DetectorConfig),
-            ("synth", SynthConfig),
-            ("train_data", DataSpec),
-        ):
-            if key in d and isinstance(d[key], dict):
-                d[key] = sub(**d[key])
-        if "eval_data" in d and isinstance(d["eval_data"], dict):
-            ed = dict(d["eval_data"])
-            if isinstance(ed.get("fine_chunk"), dict):
-                ed["fine_chunk"] = ChunkParams(**ed["fine_chunk"])
-            d["eval_data"] = EvalSpec(**ed)
-        return cls(**d)
+        return decode(cls, d)
 
     def copy(self) -> "RunConfig":
         return RunConfig.from_dict(self.to_dict())

@@ -159,6 +159,15 @@ def test_pair_save_load_round_trip(tmp_path):
     assert np.array_equal(back.audio.data, pair.audio.data)
 
 
+def test_load_pair_validates_stored_pair(tmp_path):
+    pair = synth_real_pair(SynthConfig(), substream(71, "io"))
+    pair.visual.data[0, 0, 0, 0] = 7.0
+    path = tmp_path / "pair.avtc"
+    save_pair(path, pair)
+    with pytest.raises(ConfigError, match="pair.avtc: visual samples must be finite and in"):
+        load_pair(path)
+
+
 def test_make_pairs_layout_and_determinism():
     cfg = SynthConfig()
     pairs = make_pairs(cfg, 10, 0.3, "global_desync", seed=5, id_prefix="train")

@@ -270,7 +270,23 @@ def _extra_tensor(tensors, meta):
     tensors["visual.9.weight"] = np.zeros((2, 2), np.float32)
 
 
-@pytest.mark.parametrize("corrupt", [_wrong_config_hash, _extra_tensor], ids=["config_hash", "extra_tensor"])
+def _no_detector_config(tensors, meta):
+    del meta["detector_config"]
+
+
+def _bad_json_config(tensors, meta):
+    meta["detector_config"] = meta["detector_config"][:-1]
+
+
+def _unknown_config_key(tensors, meta):
+    meta["detector_config"] = json.dumps({**json.loads(meta["detector_config"]), "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_wrong_config_hash, _extra_tensor, _no_detector_config, _bad_json_config, _unknown_config_key],
+    ids=["config_hash", "extra_tensor", "no_detector_config", "bad_json_config", "unknown_config_key"],
+)
 def test_eval_rejects_inconsistent_checkpoint(tiny_config_file, tmp_path, corrupt):
     path = tmp_path / "checkpoint.avtc"
     save_checkpoint(path, Detector(DetectorConfig(**TINY_CONFIG["detector"])))
@@ -281,6 +297,30 @@ def test_eval_rejects_inconsistent_checkpoint(tiny_config_file, tmp_path, corrup
     rc = main(["eval", "--config", str(tiny_config_file), "--checkpoint", str(path), "--out", str(out)])
     assert rc == 1
     assert not list(out.glob("report_*"))
+
+
+@pytest.mark.parametrize(
+    "overrides, config, key",
+    [
+        (["epochs=1.5"], TINY_CONFIG, "epochs"),
+        (['detector.t_prime="8"'], TINY_CONFIG, "detector.t_prime"),
+        (['chunk.r_min="0.1"'], TINY_CONFIG, "chunk.r_min"),
+        (['seed="x"'], TINY_CONFIG, "seed"),
+        (['detector.visual_blocks=[{"out": 8}]'], TINY_CONFIG, "visual_blocks[0].kernel"),
+        ([], {**TINY_CONFIG, "eval_data": {"n": 8, "fine_chunk": {"r_mn": 0.3}}}, "eval_data.fine_chunk.r_mn"),
+    ],
+    ids=["float_epochs", "str_t_prime", "str_r_min", "str_seed", "block_without_kernel", "unknown_nested_key"],
+)
+def test_train_rejects_malformed_config(tmp_path, capsys, overrides, config, key):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(config_file), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "checkpoint.avtc").exists()
 
 
 def test_gradcheck_exit_code_and_report(capsys):

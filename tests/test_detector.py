@@ -214,6 +214,30 @@ def test_config_validation():
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "path, block, message",
+    [
+        ("visual", {"out": 16}, r"visual_blocks\[0\]\.kernel must be a list of 3 positive ints"),
+        ("visual", {"out": 4, "kernel": [3, 3], "stride": [1, 1, 1]}, r"visual_blocks\[0\]\.kernel"),
+        ("visual", {"out": 4, "kernel": [3, 3, 3], "stride": [1, 0, 1]}, r"visual_blocks\[0\]\.stride"),
+        ("visual", {"type": "dense", "out": 4, "kernel": [3, 3, 3], "stride": [1, 1, 1]},
+         r"visual_blocks\[0\]\.type must be 'conv' or 'res'"),
+        ("visual", {"out": 0, "kernel": [3, 3, 3], "stride": [1, 1, 1]}, r"visual_blocks\[0\] must be an object"),
+        ("audio", {"out": 4, "kernel": 9}, r"audio_blocks\[0\]\.stride must be a positive int"),
+        ("audio", {"out": 4, "kernel": [9], "stride": 4}, r"audio_blocks\[0\]\.kernel must be a positive int"),
+        ("audio", {"out": True, "kernel": 9, "stride": 4}, r"audio_blocks\[0\] must be an object"),
+        ("audio", [4, 9, 4], r"audio_blocks\[0\] must be an object"),
+    ],
+    ids=["no_kernel", "short_kernel", "zero_stride", "bad_type", "zero_out",
+         "audio_no_stride", "audio_list_kernel", "audio_bool_out", "audio_not_object"],
+)
+def test_config_rejects_malformed_block(path, block, message):
+    cfg = DetectorConfig()
+    getattr(cfg, f"{path}_blocks")[0] = block
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+
+
 def test_input_shape_validation():
     m = toy_model()
     with pytest.raises(ShapeError):
