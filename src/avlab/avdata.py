@@ -98,15 +98,17 @@ class PairMeta:
 
     @classmethod
     def from_strings(cls, d: dict[str, str]) -> "PairMeta":
+        def records(key: str) -> list[ManipulationSpec]:
+            stored = json.loads(d.get(key, "[]"))
+            if not isinstance(stored, list):
+                raise ConfigError(f"{key} must be a JSON list of manipulation records, got {stored!r}")
+            return [ManipulationSpec.from_dict(s) for s in stored]
+
         return cls(
             source_id=d.get("source_id", "unknown"),
             origin=d.get("origin", "real"),
-            visual_manipulations=[
-                ManipulationSpec.from_dict(s) for s in json.loads(d.get("visual_manipulations", "[]"))
-            ],
-            audio_manipulations=[
-                ManipulationSpec.from_dict(s) for s in json.loads(d.get("audio_manipulations", "[]"))
-            ],
+            visual_manipulations=records("visual_manipulations"),
+            audio_manipulations=records("audio_manipulations"),
         )
 
 

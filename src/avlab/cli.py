@@ -182,11 +182,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args)
+    values = json.loads(args.values) if args.values else None
+    seeds = json.loads(args.seeds) if args.seeds else [0, 1, 2]
+    if values is not None and not isinstance(values, list):
+        raise ConfigError(f"--values must be a JSON list, got {args.values}")
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
+        raise ConfigError(f"--seeds must be a nonempty JSON list of ints, got {args.seeds}")
     out = Path(args.out)
     _write_resolved(cfg, out)
-    values = json.loads(args.values) if args.values else None
-    seeds = tuple(json.loads(args.seeds)) if args.seeds else (0, 1, 2)
-    table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
+    table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=tuple(seeds))
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
     (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")
     print(table.to_text())

@@ -269,11 +269,14 @@ class Detector:
 
     def forward_pair(self, pair) -> tuple[float, np.ndarray, np.ndarray]:
         """Single AVPair -> (fake probability, distance map, attention map)."""
-        y, m, a = self.forward(pair.visual.data[None], pair.audio.data[None])
+        with tn.no_grad():
+            y, m, a = self.forward(pair.visual.data[None], pair.audio.data[None])
         return float(y.data[0]), m.data[0].copy(), a.data[0].copy()
 
     def score_batch(self, visuals: np.ndarray, audios: np.ndarray) -> np.ndarray:
-        y, _, _ = self.forward(visuals, audios)
+        """Fake probabilities (B,) as float64, computed without a tape."""
+        with tn.no_grad():
+            y, _, _ = self.forward(visuals, audios)
         return np.asarray(y.data, dtype=np.float64)
 
 

@@ -20,6 +20,7 @@ from .tensor import (
     matmul,
     mean,
     mul,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -34,7 +35,7 @@ from .optim import Adam
 from . import gradcheck
 
 __all__ = [
-    "Tensor", "add", "sub", "mul", "matmul", "relu", "sigmoid", "exp", "log",
+    "Tensor", "no_grad", "add", "sub", "mul", "matmul", "relu", "sigmoid", "exp", "log",
     "sqrt", "clip", "tsum", "mean", "reshape", "transpose", "softmax",
     "conv3d", "conv1d", "adaptive_avg_pool3d", "adaptive_avg_pool1d",
     "bce_loss", "Conv3d", "Conv1d", "Linear", "kaiming_uniform", "Adam",

@@ -21,18 +21,20 @@ MODEL_TOLERANCE = 1e-3
 
 def numerical_grad(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of scalar-valued ``f()`` w.r.t. ``x``,
-    mutating ``x`` in place element by element."""
+    mutating ``x`` in place element by element.  The probes of ``f`` run
+    under ``no_grad``, since nothing walks their tape."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = f()
-        flat[j] = orig - h
-        fm = f()
-        flat[j] = orig
-        gf[j] = (fp - fm) / (2.0 * h)
+    with T.no_grad():
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            fp = f()
+            flat[j] = orig - h
+            fm = f()
+            flat[j] = orig
+            gf[j] = (fp - fm) / (2.0 * h)
     return g
 
 

@@ -2,27 +2,62 @@
 
 Every op builds a node in a tape; ``Tensor.backward()`` walks the tape
 in reverse topological order and accumulates gradients into every
-tensor with ``requires_grad=True``.  Ops preserve the input dtype, so
-the same graph code runs in float32 for training and float64 for
-finite-difference checks.
+tensor with ``requires_grad=True``.  Inside ``no_grad()`` ops build no
+tape: outputs carry no parents and no backward closure, so inference and
+finite-difference probes keep nothing alive for a backward pass that
+never comes.  Ops preserve the input dtype, so the same graph code runs
+in float32 for training and float64 for finite-difference checks.
 
-``conv3d`` and ``conv1d`` share one im2col kernel over N spatial axes.
-It pads the input channels-last, (B, *S, C), so each window copied into
-the (positions, taps * C) column matrix and each tap's gradient added
-back moves contiguous runs of ``kw * C`` or ``C`` values, not the one to
-five values a channels-first layout gives.  Public tensors stay (B, C, ...).
+``conv3d`` and ``conv1d`` share one GEMM kernel over N spatial axes.  It
+pads the input channels-last, (B, *S, C), so each window copied into the
+column matrix and each tap's gradient added back moves contiguous runs
+of ``kw * C`` or ``C`` values, not the one to five values a
+channels-first layout gives.  Only the taps of the last two spatial axes
+go into the column matrix's K dimension.  The taps of a leading axis
+(time, for conv3d) go into the GEMM's N dimension: one GEMM against a
+(K, kt * O) weight block gives kt partial outputs for every input frame,
+and shift-adding them along time gives the output, so the column matrix
+of a kt = 3 conv3d is three times smaller.  conv1d has no leading axis,
+so all its taps stay in K.  Each call's geometry (output sizes, padded
+shape, index tuples, permutations and the byte strides of the
+``as_strided`` views) is planned once per (shapes, stride, padding,
+itemsize) and cached.  Public tensors stay (B, C, ...).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError
 
 BCE_EPS = 1e-7
+
+# Cleared inside ``no_grad()``: ops then build no tape.
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block, for inference and probe-only forward passes.
+
+    Op outputs get ``requires_grad=False``, no parents and no backward
+    closure, so nothing a backward pass would need is kept alive.  Nests,
+    and restores the previous state on exit, also on an exception.
+    """
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
 
 # Finite differences are only valid where the graph is smooth.  When a
 # KinkTracker is installed, the non-smooth ops (relu, sqrt, clip) record
@@ -107,7 +142,7 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -319,39 +354,102 @@ def _out_len(n: int, k: int, s: int, p: int) -> int:
     return o
 
 
+class _ConvPlan(NamedTuple):
+    """Geometry of one conv call: shapes, views, permutations and byte strides."""
+
+    xp_shape: tuple  # padded channels-last input (B, *Sp, C)
+    inner: tuple  # where the unpadded input sits in xp, channel axis left open
+    cols_shape: tuple  # as_strided view of xp: (B, *lead rows, *trail So, *trail taps, C)
+    cols_strides: tuple
+    gemm: tuple  # (K, N): K = trail taps * C, N = lead taps * O
+    w_axes: tuple  # (O, C, *ks) -> (*trail taps, C, *lead taps, O), the (K, N) GEMM operand
+    w_back: tuple  # the inverse permutation, for the weight gradient
+    y_shape: tuple  # GEMM result (B, *lead rows, *trail So, *lead taps, O)
+    sum_shape: tuple  # as_strided view of y: (B, O, *So, *lead taps)
+    sum_strides: tuple
+    lead_taps: tuple  # index of each lead tap's (B, O, *So) slice in that view
+    gcols_shape: tuple  # input gradient (trail taps, B, *lead rows, *trail So, C)
+    taps: tuple  # per trailing tap, its destination in the padded input gradient
+
+
+def _c_strides(shape, itemsize: int) -> tuple:
+    return tuple(itemsize * math.prod(shape[i + 1:]) for i in range(len(shape)))
+
+
+@functools.lru_cache(maxsize=128)
+def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
+    B, C, *S = x_shape
+    O, _, *ks = w_shape
+    n = len(S)
+    m = max(0, n - 2)  # leading axes whose taps join the GEMM's N dimension
+    So = [_out_len(*dims) for dims in zip(S, ks, stride, padding)]
+    Sp = [s + 2 * p for s, p in zip(S, padding)]
+    rows = [(o - 1) * s + k for o, s, k in zip(So[:m], stride[:m], ks[:m])]  # lead positions read
+    xs = _c_strides((B, *Sp, C), itemsize)
+    y_shape = (B, *rows, *So[m:], *ks[:m], O)
+    ys = _c_strides(y_shape, itemsize)
+    lead, trail = range(m), range(m, n)
+    w_axes = (*range(2 + m, 2 + n), 1, *range(2, 2 + m), 0)
+    return _ConvPlan(
+        xp_shape=(B, *Sp, C),
+        inner=(slice(None), *(slice(p, p + s) for p, s in zip(padding, S))),
+        cols_shape=(B, *rows, *So[m:], *ks[m:], C),
+        cols_strides=(xs[0], *xs[1:1 + m], *(xs[1 + i] * stride[i] for i in trail), *xs[1 + m:1 + n], itemsize),
+        gemm=(math.prod(ks[m:]) * C, math.prod(ks[:m]) * O),
+        w_axes=w_axes,
+        w_back=tuple(int(a) for a in np.argsort(w_axes)),
+        y_shape=y_shape,
+        # out[b, o, *pos] = sum over lead taps t of y[b, pos_lead * stride + t, pos_trail, t, o]
+        sum_shape=(B, O, *So, *ks[:m]),
+        sum_strides=(ys[0], itemsize, *(ys[1 + i] * stride[i] for i in lead), *ys[1 + m:1 + n],
+                     *(ys[1 + i] + ys[1 + n + i] for i in lead)),
+        lead_taps=tuple((Ellipsis, *tap) for tap in np.ndindex(*ks[:m])),
+        gcols_shape=(-1, B, *rows, *So[m:], C),
+        taps=tuple(
+            (slice(None), *(slice(0, r) for r in rows),
+             *(slice(t, t + o * s, s) for t, o, s in zip(tap, So[m:], stride[m:])))
+            for tap in np.ndindex(*ks[m:])
+        ),
+    )
+
+
 def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple[int, ...]) -> Tensor:
-    # (B, C, *S) cross-correlated with (O, C, *K); ``cols`` is (output positions, taps * C)
-    n = x.data.ndim - 2
+    # (B, C, *S) cross-correlated with (O, C, *K) as one GEMM of cols (rows, K) by the
+    # (K, N) weight block; trailing-axis taps sit in K, leading-axis taps in N
     if x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"{op} channel mismatch: input {x.shape} vs kernel {w.shape}")
-    B, C, *S = x.data.shape
-    O, _, *ks = w.data.shape
-    So = [_out_len(*dims) for dims in zip(S, ks, stride, padding)]
+    dtype = np.result_type(x.data, w.data)  # the GEMM's dtype, whose itemsize the plan's strides assume
+    p = _conv_plan(x.data.shape, w.data.shape, stride, padding, dtype.itemsize)
+    C = x.data.shape[1]
 
-    xp = np.zeros((B, *(s + 2 * p for s, p in zip(S, padding)), C), dtype=x.data.dtype)
-    inner = (slice(None), *(slice(p, p + s) for p, s in zip(padding, S)))
+    xp = np.zeros(p.xp_shape, dtype=dtype)
     for c in range(C):  # per channel: one moveaxis copy walks C-value runs, 2.5x slower at C=3
-        xp[(*inner, c)] = x.data[:, c]
-    win = sliding_window_view(xp, ks, axis=tuple(range(1, n + 1)))
-    win = win[(slice(None), *(slice(None, None, s) for s in stride))]
-    wmat = np.moveaxis(w.data, 1, -1).reshape(O, -1)
-    cols = np.moveaxis(win, n + 1, -1).reshape(-1, wmat.shape[1])
-    out = np.moveaxis((cols @ wmat.T).reshape(B, *So, O), -1, 1)
+        xp[(*p.inner, c)] = x.data[:, c]
+    cols = as_strided(xp, p.cols_shape, p.cols_strides).reshape(-1, p.gemm[0])
+    wt = w.data.transpose(p.w_axes)
+    wmat = wt.reshape(p.gemm)
+    shifted = as_strided(cols @ wmat, p.sum_shape, p.sum_strides)
+    out = shifted[p.lead_taps[0]].copy()
+    for tap in p.lead_taps[1:]:
+        out += shifted[tap]
 
     def backward(g):
-        gmat = np.moveaxis(g, 1, -1).reshape(-1, O)
+        gy = np.zeros(p.y_shape, dtype=dtype)
+        shifted = as_strided(gy, p.sum_shape, p.sum_strides)
+        for tap in p.lead_taps:
+            shifted[tap] = g
+        gymat = gy.reshape(-1, p.gemm[1])
         if w.requires_grad:
-            _accum(w, np.moveaxis((gmat.T @ cols).reshape(O, *ks, C), -1, 1))
+            _accum(w, (cols.T @ gymat).reshape(wt.shape).transpose(p.w_back))
         if x.requires_grad:
-            # tap-major (taps, B, *So, C), so each tap's block is contiguous
-            gcols = (gmat @ wmat.reshape(O, -1, C).transpose(1, 0, 2)).reshape(-1, B, *So, C)
+            # tap-major (trailing taps, B, *rows, *So_trail, C), so each tap's block is contiguous
+            gcols = (gymat @ wmat.reshape(-1, C, p.gemm[1]).transpose(0, 2, 1)).reshape(p.gcols_shape)
             gxp = np.zeros_like(xp)
-            for k, tap in enumerate(np.ndindex(*ks)):
-                dst = (slice(None), *(slice(t, t + o * s, s) for t, o, s in zip(tap, So, stride)))
+            for k, dst in enumerate(p.taps):
                 gxp[dst] += gcols[k]
-            _accum(x, np.moveaxis(gxp[inner], -1, 1))
+            _accum(x, np.moveaxis(gxp[p.inner], -1, 1))
 
-    return _node(np.ascontiguousarray(out), (x, w), backward)
+    return _node(out, (x, w), backward)
 
 
 def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:

@@ -7,6 +7,7 @@ from avlab.avdata import (
     AVPair,
     AudioClip,
     CARRIER_CYCLES_PER_SAMPLE,
+    PairMeta,
     SynthConfig,
     VisualClip,
     envelope,
@@ -166,6 +167,12 @@ def test_load_pair_validates_stored_pair(tmp_path):
     save_pair(path, pair)
     with pytest.raises(ConfigError, match="pair.avtc: visual samples must be finite and in"):
         load_pair(path)
+
+
+@pytest.mark.parametrize("key", ["visual_manipulations", "audio_manipulations"])
+def test_manipulation_record_must_be_a_list(key):
+    with pytest.raises(ConfigError, match=f"{key} must be a JSON list"):
+        PairMeta.from_strings({key: "5"})
 
 
 def test_make_pairs_layout_and_determinism():

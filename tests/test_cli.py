@@ -216,11 +216,22 @@ def _break_manipulation_record(path):
     container.write_container(path, tensors, meta)
 
 
+def _setting(key, value):
+    # rewrite a stored pair with one meta entry replaced
+    def corrupt(path):
+        tensors, meta = container.read_container(path)
+        meta[key] = value
+        container.write_container(path, tensors, meta)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_break_header, _break_visual_range, _dropping("label"), _dropping("visual"), _dropping("audio"),
-     _break_manipulation_record],
-    ids=["header", "visual_range", "no_label", "no_visual", "no_audio", "manipulation_record"],
+     _break_manipulation_record, _setting("visual_manipulations", "5"), _setting("audio_manipulations", "null")],
+    ids=["header", "visual_range", "no_label", "no_visual", "no_audio", "manipulation_record",
+         "visual_record_not_list", "audio_record_not_list"],
 )
 def test_augment_rejects_bad_stored_pair(tiny_config_file, tmp_path, corrupt):
     data_dir = tmp_path / "data"
@@ -260,6 +271,20 @@ def test_augment_rejects_bad_spec_file(tiny_config_file, tmp_path, spec, capsys)
     assert rc == 1
     assert "manipulation spec" in capsys.readouterr().err
     assert not list(out.glob("pair-*.avtc"))
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seeds", "5"), ("--seeds", '["a"]'), ("--values", "5")],
+    ids=["seeds_not_list", "seeds_not_ints", "values_not_list"],
+)
+def test_ablate_rejects_bad_list_argument(tiny_config_file, tmp_path, flag, value, capsys):
+    out = tmp_path / "ablation"
+    rc = main([
+        "ablate", "--config", str(tiny_config_file), "--axis", "attention", "--out", str(out), flag, value,
+    ])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is trained or written
 
 
 def _wrong_config_hash(tensors, meta):

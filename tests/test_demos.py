@@ -1,0 +1,24 @@
+"""Smoke test: the quick demos run to completion as scripts.
+
+Demos 01-03 take well under a second each.  Demo 04 (a training run)
+and demo 05 (an ablation over several trainings) take much longer and
+stay out of Tier-1; run them by hand.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "name", ["01_synthetic_pairs.py", "02_temporal_manipulations.py", "03_detector_maps.py"]
+)
+def test_quick_demo_exits_zero(name, capsys):
+    try:
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    assert capsys.readouterr().out

@@ -16,6 +16,7 @@ from avlab.detector import (
 )
 from avlab.errors import ConfigError, ShapeError
 from avlab.rng import substream
+from avlab.tinynet import tensor as tn
 from avlab.tinynet.layers import Conv1d
 from avlab.tinynet.tensor import Tensor
 
@@ -162,6 +163,19 @@ def test_one_adam_step_decreases_loss():
         y1, _, _ = model.forward(v, a)
         improved += float(bce_loss(y1, labels).data) < float(loss0.data)
     assert improved >= 95, improved
+
+
+def test_no_grad_forward_bit_identical():
+    m = toy_model()
+    v, a = rand_inputs(substream(0, "no-grad"))
+    taped = m.forward(v, a)
+    with tn.no_grad():
+        plain = m.forward(v, a)
+    for t, p in zip(taped, plain):
+        assert t.requires_grad and t._backward is not None
+        assert not p.requires_grad and p._parents == () and p._backward is None
+        assert p.data.tobytes() == t.data.tobytes()
+    assert m.score_batch(v, a).tobytes() == taped[0].data.astype(np.float64).tobytes()
 
 
 def test_attention_off_uses_uniform_map():

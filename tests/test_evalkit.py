@@ -5,6 +5,7 @@ import pytest
 
 from avlab import avdata
 from avlab.avdata import SynthConfig
+from avlab.detector import Detector, DetectorConfig
 from avlab.errors import MetricError
 from avlab.evalkit import (
     ScoredVideo,
@@ -147,25 +148,46 @@ def test_evaluate_deterministic_and_serializable():
     assert "auc" in r1.to_dict()
 
 
-def test_random_weight_model_scores_at_chance():
-    from avlab.detector import Detector, DetectorConfig
+TINY_SYNTH = SynthConfig(t_v=8, c_v=1, h=12, w=12, t_a=320)
+TINY_DETECTOR = DetectorConfig(
+    t_prime=4,
+    c_prime=8,
+    visual_in_channels=1,
+    visual_blocks=[
+        {"type": "conv", "out": 4, "kernel": [3, 3, 3], "stride": [1, 2, 2]},
+        {"type": "res", "out": 8, "kernel": [3, 3, 3], "stride": [2, 2, 2]},
+    ],
+    audio_blocks=[{"out": 4, "kernel": 9, "stride": 4}, {"out": 8, "kernel": 5, "stride": 4}],
+    classifier_hidden=8,
+)
 
-    cfg = SynthConfig(t_v=8, c_v=1, h=12, w=12, t_a=320)
-    det_cfg = DetectorConfig(
-        t_prime=4,
-        c_prime=8,
-        visual_in_channels=1,
-        visual_blocks=[
-            {"type": "conv", "out": 4, "kernel": [3, 3, 3], "stride": [1, 2, 2]},
-            {"type": "res", "out": 8, "kernel": [3, 3, 3], "stride": [2, 2, 2]},
-        ],
-        audio_blocks=[{"out": 4, "kernel": 9, "stride": 4}, {"out": 8, "kernel": 5, "stride": 4}],
-        classifier_hidden=8,
-    )
-    eval_set = make_split(cfg, "in_distribution", 40, seed=77)
-    policy = SubsequencePolicy(length=cfg.t_v)
-    aucs = [evaluate(Detector(det_cfg, seed=s), eval_set, policy).auc for s in range(20)]
+
+def test_random_weight_model_scores_at_chance():
+    eval_set = make_split(TINY_SYNTH, "in_distribution", 40, seed=77)
+    policy = SubsequencePolicy(length=TINY_SYNTH.t_v)
+    aucs = [evaluate(Detector(TINY_DETECTOR, seed=s), eval_set, policy).auc for s in range(20)]
     assert 0.3 <= float(np.mean(aucs)) <= 0.7
+
+
+class _TapedScorer:
+    """Scores through ``Detector.forward`` with the tape on."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def score_batch(self, visuals, audios):
+        y, _, _ = self.model.forward(visuals, audios)
+        assert y.requires_grad
+        return np.asarray(y.data, dtype=np.float64)
+
+
+def test_evaluate_report_unchanged_by_no_grad():
+    model = Detector(TINY_DETECTOR, seed=3)
+    synth = SynthConfig(t_v=16, c_v=1, h=12, w=12, t_a=640)
+    eval_set = make_split(synth, "fine_grained", 12, seed=78)
+    policy = SubsequencePolicy(length=8)  # 2 windows per video, batches of 16 and 8
+    report = evaluate(model, eval_set, policy)
+    assert report.to_json() == evaluate(_TapedScorer(model), eval_set, policy).to_json()
 
 
 def test_make_split_composition():

@@ -193,7 +193,10 @@ def _naive_conv(x, w, stride, padding, g):
     return out, gxp[inner], gw
 
 
-CONV_REFERENCE_TOL = 1e-12  # relative to the largest reference magnitude, float64
+# Relative to the largest reference magnitude.  float64 keeps its bound; the
+# float32 one is about 84 ulps at 1.0 (eps 1.19e-7), room for sums of up to a
+# few hundred rounded products in any order.
+CONV_REFERENCE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 # (input shape, kernel shape, stride, padding): every layer geometry of the
 # default detector (visual stem, residual convs and their 1x1x1 projections,
@@ -221,18 +224,58 @@ CONV_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CONV_CASES))
 def test_conv_matches_naive_reference(case):
+    # float64 -> float32 -> float64 on one geometry, starting from an empty plan
+    # cache: each dtype must get its own plan, never the other itemsize's strides
     x_shape, w_shape, stride, padding = CONV_CASES[case]
     rng = substream(10, "conv-reference", case)
-    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
-    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
-    if len(x_shape) == 5:
-        out = tn.conv3d(x, w, stride, padding)
-    else:
-        out = tn.conv1d(x, w, stride[0], padding[0])
-    g = rng.standard_normal(out.shape)
-    tn.tsum(tn.mul(out, Tensor(g))).backward()
+    x64, w64 = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    g64 = None
+    tn._conv_plan.cache_clear()
+    for dtype in (np.float64, np.float32, np.float64):
+        x = Tensor(x64.astype(dtype), requires_grad=True)
+        w = Tensor(w64.astype(dtype), requires_grad=True)
+        if len(x_shape) == 5:
+            out = tn.conv3d(x, w, stride, padding)
+        else:
+            out = tn.conv1d(x, w, stride[0], padding[0])
+        if g64 is None:
+            g64 = rng.standard_normal(out.shape)
+        g = g64.astype(dtype)
+        tn.tsum(tn.mul(out, Tensor(g))).backward()
 
-    ref_out, ref_gx, ref_gw = _naive_conv(x.data, w.data, stride, padding, g)
-    for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw)):
-        assert got.shape == ref.shape and got.dtype == np.float64
-        assert np.abs(got - ref).max() <= CONV_REFERENCE_TOL * np.abs(ref).max()
+        # reference in float64 on the very values the kernel saw
+        ref_out, ref_gx, ref_gw = _naive_conv(
+            x.data.astype(np.float64), w.data.astype(np.float64), stride, padding, g.astype(np.float64)
+        )
+        for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw)):
+            assert got.shape == ref.shape and got.dtype == dtype
+            assert np.abs(got - ref).max() <= CONV_REFERENCE_TOL[dtype] * np.abs(ref).max()
+    assert tn._conv_plan.cache_info().misses == 2
+
+
+def test_no_grad_builds_no_tape():
+    rng = substream(11, "no-grad")
+    x = Tensor(rng.standard_normal((2, 3, 9)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+    with tn.no_grad():
+        outs = [tn.conv1d(x, w, 1, 1), tn.relu(x), tn.sigmoid(tn.mul(x, x)), tn.tsum(x)]
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    taped = tn.conv1d(x, w, 1, 1)
+    assert taped.requires_grad and taped._parents == (x, w) and taped._backward is not None
+    assert taped.data.tobytes() == outs[0].data.tobytes()
+
+
+def test_no_grad_nests_and_restores():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    with tn.no_grad():
+        with tn.no_grad():
+            assert not tn.mul(x, x).requires_grad
+        assert not tn.mul(x, x).requires_grad  # the inner exit keeps the outer block off
+    assert tn.mul(x, x).requires_grad
+    with pytest.raises(RuntimeError, match="probe"):
+        with tn.no_grad():
+            raise RuntimeError("probe failed")
+    y = tn.tsum(tn.mul(x, x))
+    y.backward()
+    assert np.array_equal(x.grad, [3.0, -4.0])
