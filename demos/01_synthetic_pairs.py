@@ -5,6 +5,9 @@ the audio amplitude; fakes break that coupling globally or only inside
 one temporal chunk.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from avlab import SynthConfig, save_pair, substream, synth_fake_pair, synth_real_pair
@@ -41,8 +44,10 @@ def main():
     describe("global fake", global_fake)
     describe("local fake", local_fake)
 
-    save_pair("/tmp/avlab_demo_real.avtc", real)
-    print("\nwrote /tmp/avlab_demo_real.avtc (binary tensor container)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "real.avtc"
+        save_pair(path, real)
+        print(f"\nwrote {path.name}, {path.stat().st_size} bytes (binary tensor container)")
 
     twin = synth_real_pair(cfg, substream(7, "sample", 0))
     print("same seed reproduces the pair bit-exactly:",

@@ -34,49 +34,38 @@ CARRIER_CYCLES_PER_SAMPLE = 0.05
 
 
 @dataclass
-class VisualClip:
+class _Clip:
+    """Float32 clip, time on axis 0; a subclass sets its message name, rank, shape text and value range."""
+
+    data: np.ndarray
+
+    def validate(self) -> None:
+        d, (lo, hi) = self.data, self.RANGE
+        if d.ndim != self.NDIM or d.shape[0] < 2 or min(d.shape) < 1:
+            raise ConfigError(f"{self.KIND} clip needs shape {self.SHAPE}, got {d.shape}")
+        if d.dtype != np.float32:
+            raise ConfigError(f"{self.KIND} clip must be float32, got {d.dtype}")
+        if not np.isfinite(d).all() or d.min() < lo or d.max() > hi:
+            raise ConfigError(f"{self.KIND} samples must be finite and in [{lo}, {hi}]")
+
+    def replace_data(self, arr: np.ndarray) -> "_Clip":
+        return type(self)(np.asarray(arr, dtype=np.float32))
+
+    @property
+    def t(self) -> int:
+        return self.data.shape[0]
+
+
+class VisualClip(_Clip):
     """Video tensor of shape (T_v, C_v, H, W), float32, values in [0, 1]."""
 
-    data: np.ndarray
-
-    def validate(self) -> None:
-        d = self.data
-        if d.ndim != 4 or d.shape[0] < 2 or min(d.shape) < 1:
-            raise ConfigError(f"visual clip needs shape (T>=2, C, H, W), got {d.shape}")
-        if d.dtype != np.float32:
-            raise ConfigError(f"visual clip must be float32, got {d.dtype}")
-        if not np.isfinite(d).all() or d.min() < 0.0 or d.max() > 1.0:
-            raise ConfigError("visual samples must be finite and in [0, 1]")
-
-    def replace_data(self, arr: np.ndarray) -> "VisualClip":
-        return VisualClip(np.asarray(arr, dtype=np.float32))
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[0]
+    KIND, NDIM, SHAPE, RANGE = "visual", 4, "(T>=2, C, H, W)", (0, 1)
 
 
-@dataclass
-class AudioClip:
+class AudioClip(_Clip):
     """Waveform of shape (T_a,), float32, values in [-1, 1]."""
 
-    data: np.ndarray
-
-    def validate(self) -> None:
-        d = self.data
-        if d.ndim != 1 or d.shape[0] < 2:
-            raise ConfigError(f"audio clip needs shape (T>=2,), got {d.shape}")
-        if d.dtype != np.float32:
-            raise ConfigError(f"audio clip must be float32, got {d.dtype}")
-        if not np.isfinite(d).all() or d.min() < -1.0 or d.max() > 1.0:
-            raise ConfigError("audio samples must be finite and in [-1, 1]")
-
-    def replace_data(self, arr: np.ndarray) -> "AudioClip":
-        return AudioClip(np.asarray(arr, dtype=np.float32))
-
-    @property
-    def t(self) -> int:
-        return self.data.shape[0]
+    KIND, NDIM, SHAPE, RANGE = "audio", 1, "(T>=2,)", (-1, 1)
 
 
 @dataclass

@@ -70,9 +70,13 @@ def load_config(args) -> trainloop.RunConfig:
     return cfg
 
 
-def _write_resolved(cfg: trainloop.RunConfig, out: Path) -> None:
+def _prologue(args) -> tuple[trainloop.RunConfig, Path]:
+    """Load the config, create ``--out`` and write the ``resolved_config.json`` snapshot into it."""
+    cfg = load_config(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    return cfg, out
 
 
 # ------------------------------------------------------------------ datasets
@@ -98,9 +102,7 @@ def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    _write_resolved(cfg, out)
+    cfg, out = _prologue(args)
     manifest = {"splits": {}, "seed": cfg.seed}
     for split in ("train", *evalkit.SPLITS):
         split_dir = out / _split_dir(split)
@@ -116,9 +118,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    _write_resolved(cfg, out)
+    cfg, out = _prologue(args)
     pairs = _load_dir(Path(args.data))
     donors = [p for p in pairs if p.label == "real"]
 
@@ -152,9 +152,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    _write_resolved(cfg, out)
+    cfg, out = _prologue(args)
     train_set = list(_split(cfg, "train", args.data))
     cfg.checkpoint_dir = str(out)
     result = trainloop.train(cfg, train_set)
@@ -166,9 +164,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args)
-    out = Path(args.out)
-    _write_resolved(cfg, out)
+    cfg, out = _prologue(args)
     model, _ = load_checkpoint(args.checkpoint)
     policy = evalkit.SubsequencePolicy(length=cfg.synth.t_v)
     for split in evalkit.SPLITS:
@@ -181,15 +177,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args)
     values = json.loads(args.values) if args.values else None
     seeds = json.loads(args.seeds) if args.seeds else [0, 1, 2]
     if values is not None and not isinstance(values, list):
         raise ConfigError(f"--values must be a JSON list, got {args.values}")
     if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
         raise ConfigError(f"--seeds must be a nonempty JSON list of ints, got {args.seeds}")
-    out = Path(args.out)
-    _write_resolved(cfg, out)
+    cfg, out = _prologue(args)
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=tuple(seeds))
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
     (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")

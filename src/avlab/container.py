@@ -67,8 +67,9 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container written by :func:`write_container`.
 
     Raises :class:`ContainerFormatError` (with a byte offset) on bad
-    magic, a truncated file, a header that breaks the header schema, or
-    a payload whose size disagrees with the declared shapes.
+    magic, a truncated file, a header that breaks the header schema, a
+    payload whose size disagrees with the declared shapes, or a shape
+    numpy cannot build.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
@@ -100,7 +101,10 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 f"truncated payload for tensor {name!r}, need {nbytes} bytes", pos
             )
         flat = np.frombuffer(raw[pos : pos + nbytes], dtype="<f4")
-        tensors[name] = flat.reshape(shape).astype(np.float32, copy=True)
+        try:
+            tensors[name] = flat.reshape(shape).astype(np.float32, copy=True)
+        except ValueError as exc:  # more dims than numpy allows, or an empty shape too big to index
+            raise ContainerFormatError(f"tensor {name!r}: numpy cannot build shape: {exc}", pos) from exc
         pos += nbytes
     if pos != len(raw):
         raise ContainerFormatError(f"{len(raw) - pos} trailing bytes after last payload", pos)

@@ -57,9 +57,12 @@ def _positive_int(v) -> bool:
 def _check_block(where: str, block, visual: bool) -> None:
     """Every block needs an int ``out`` >= 1.  A visual block needs ``kernel``
     and ``stride`` as 3 positive ints and a ``type`` of conv (the default) or
-    res; an audio block needs them as positive ints."""
+    res; an audio block needs them as positive ints.  No other key is allowed."""
     if not isinstance(block, dict) or not _positive_int(block.get("out")):
         raise ConfigError(f"{where} must be an object with an int out >= 1, got {block!r}")
+    unknown = block.keys() - {"out", "kernel", "stride"} - ({"type"} if visual else set())
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {min(unknown, key=str)!r}")
     for key in ("kernel", "stride"):
         v = block.get(key)
         if visual and not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_positive_int, v))):
@@ -125,6 +128,11 @@ class DetectorConfig:
         ).hexdigest()[:16]
 
 
+def _prefixed(named_layers) -> list:
+    """``(prefix, layer)`` pairs -> every layer's ``(name, tensor)`` params, named ``prefix.name``."""
+    return [(f"{prefix}.{n}", t) for prefix, layer in named_layers for n, t in layer.params()]
+
+
 class _ResBlock3d:
     def __init__(self, c_in, c_out, kernel, stride, rng, dtype):
         self.conv1 = Conv3d(c_in, c_out, kernel, stride, rng=rng, dtype=dtype)
@@ -140,11 +148,8 @@ class _ResBlock3d:
         return tn.relu(tn.add(h, shortcut))
 
     def params(self):
-        out = [(f"conv1.{n}", t) for n, t in self.conv1.params()]
-        out += [(f"conv2.{n}", t) for n, t in self.conv2.params()]
-        if self.proj is not None:
-            out += [(f"proj.{n}", t) for n, t in self.proj.params()]
-        return out
+        named = [("conv1", self.conv1), ("conv2", self.conv2)]
+        return _prefixed(named if self.proj is None else named + [("proj", self.proj)])
 
 
 def distance_map(fv: Tensor, fa: Tensor) -> Tensor:
@@ -204,25 +209,17 @@ class Detector:
     # ----------------------------------------------------------------- params
 
     def params(self):
-        out = []
-        for i, (kind, layer) in enumerate(self.visual_layers):
-            out += [(f"visual.{i}.{n}", t) for n, t in layer.params()]
-        for i, layer in enumerate(self.audio_layers):
-            out += [(f"audio.{i}.{n}", t) for n, t in layer.params()]
+        named = [(f"visual.{i}", layer) for i, (_, layer) in enumerate(self.visual_layers)]
+        named += [(f"audio.{i}", layer) for i, layer in enumerate(self.audio_layers)]
         if self.proj_v is not None:
-            out += [(f"attn_v.{n}", t) for n, t in self.proj_v.params()]
-            out += [(f"attn_a.{n}", t) for n, t in self.proj_a.params()]
-        out += [(f"fc1.{n}", t) for n, t in self.fc1.params()]
-        out += [(f"fc2.{n}", t) for n, t in self.fc2.params()]
-        return out
+            named += [("attn_v", self.proj_v), ("attn_a", self.proj_a)]
+        return _prefixed(named + [("fc1", self.fc1), ("fc2", self.fc2)])
 
     # --------------------------------------------------------------- forward
 
     def extract_visual(self, x) -> Tensor:
-        """(B, T, C, H, W) or (T, C, H, W) clip batch -> (B, T', C') features."""
+        """(B, T, C, H, W) clip batch -> (B, T', C') features."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 4:
-            x = x[None]
         if x.ndim != 5 or x.shape[2] != self.config.visual_in_channels:
             raise ShapeError(
                 f"visual input must be (B, T, {self.config.visual_in_channels}, H, W), got {x.shape}"
@@ -236,10 +233,8 @@ class Detector:
         return tn.transpose(h, (0, 2, 1))
 
     def extract_audio(self, x) -> Tensor:
-        """(B, T_a) or (T_a,) waveform batch -> (B, T', C') features."""
+        """(B, T_a) waveform batch -> (B, T', C') features."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 1:
-            x = x[None]
         if x.ndim != 2:
             raise ShapeError(f"audio input must be (B, T_a), got {x.shape}")
         h = Tensor(x[:, None, :])
@@ -296,7 +291,7 @@ def save_checkpoint(path, model: Detector, extra_meta: dict[str, str] | None = N
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
-    """Rebuild a saved model; a stale ``config_hash`` or an unknown tensor is a ConfigError."""
+    """Rebuild a saved model; a stale ``config_hash`` or a missing, extra or wrong-shaped tensor is a ConfigError."""
     tensors, meta = container.read_container(path)
     if "detector_config" not in meta:
         raise ConfigError(f"{path}: checkpoint meta has no detector_config entry")
@@ -312,10 +307,10 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
         raise ConfigError(f"{path}: checkpoint holds tensors the model has no parameter for: {extra}")
     for name, t in model.params():
         if name not in tensors:
-            raise ConfigError(f"checkpoint missing parameter {name!r}")
+            raise ConfigError(f"{path}: checkpoint missing parameter {name!r}")
         if tensors[name].shape != t.data.shape:
-            raise ShapeError(
-                f"checkpoint parameter {name!r} has shape {tensors[name].shape}, expected {t.data.shape}"
+            raise ConfigError(
+                f"{path}: checkpoint parameter {name!r} has shape {tensors[name].shape}, expected {t.data.shape}"
             )
         t.data = tensors[name].astype(dtype)
     return model, meta
@@ -339,44 +334,39 @@ def tiny_config() -> DetectorConfig:
     )
 
 
-def full_model_gradcheck(seed: int = 0, instance: int = 0, h: float = 1e-5,
-                         kink_margin: float = 5e-4) -> float:
+def full_model_gradcheck(seed: int = 0, instance: int = 0) -> float:
     """Finite-difference check of every parameter gradient of the tiny
     detector under a BCE loss; returns the max relative error.
 
-    Central differences are only valid where the loss is smooth, so
-    probe points whose relu/sqrt/clip arguments come within
-    ``kink_margin`` of a kink are redrawn (the analytic gradient there
-    is a legal subgradient that finite differences cannot certify).
+    Central differences are only valid where the loss is smooth, so a
+    probe point closer than ``gradcheck.MODEL_KINK_MARGIN`` to a relu,
+    sqrt or clip kink is redrawn: the analytic gradient there is a legal
+    subgradient that finite differences cannot certify.
     """
     from .tinynet import gradcheck as gc
 
     model = Detector(tiny_config(), seed=seed * 7919 + instance, dtype=np.float64)
     rng = substream(seed, "fullmodel", instance)
 
-    def loss_value() -> float:
+    def loss() -> Tensor:
         y, _, _ = model.forward(visual, audio)
-        return float(tn.bce_loss(y, label).data)
+        return tn.bce_loss(y, label)
 
     for _ in range(64):
         visual = rng.uniform(0.0, 1.0, size=(1, 6, 1, 6, 6))
         audio = rng.uniform(-1.0, 1.0, size=(1, 16))
         label = np.array([float(rng.integers(0, 2))])
         with tn.track_kinks(tn.KinkTracker()) as tracker:
-            loss_value()
-        if tracker.min_distance > kink_margin:
+            loss()
+        if tracker.min_distance > gc.MODEL_KINK_MARGIN:
             break
     else:
         raise RuntimeError("could not find a probe point away from activation kinks")
 
-    y, _, _ = model.forward(visual, audio)
-    loss = tn.bce_loss(y, label)
-    loss.backward()
-
+    loss().backward()
     worst = 0.0
-    for name, p in model.params():
-        analytic = p.grad.copy()
-        numeric = gc.numerical_grad(loss_value, p.data, h=h)
-        worst = max(worst, gc.rel_error(analytic, numeric))
+    for _, p in model.params():
+        numeric = gc.numerical_grad(lambda: float(loss().data), p.data, h=gc.MODEL_FD_STEP)
+        worst = max(worst, gc.rel_error(p.grad, numeric))
         p.grad = None
     return worst

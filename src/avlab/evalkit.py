@@ -29,17 +29,9 @@ SPLITS = ("in_distribution", "fine_grained")
 
 
 def _rank_average(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # 1-based mid-ranks: the values tied in a group share the mean of its ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def _label_to_int(label) -> int:
@@ -56,6 +48,8 @@ def auc(scored) -> float:
     if not scored:
         raise MetricError("auc needs at least one scored item")
     scores = np.array([s for s, _ in scored], dtype=np.float64)
+    if np.isnan(scores).any():
+        raise MetricError("auc undefined for NaN scores")
     labels = np.array([_label_to_int(l) for _, l in scored], dtype=np.int64)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos

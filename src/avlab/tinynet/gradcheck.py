@@ -16,6 +16,10 @@ from .tensor import Tensor
 
 FD_STEP = 1e-3
 OPS_TOLERANCE = 1e-4
+# The full-model check (``detector.full_model_gradcheck``) uses a finer step,
+# and redraws probe points closer than the margin to a relu/sqrt/clip kink.
+MODEL_FD_STEP = 1e-5
+MODEL_KINK_MARGIN = 5e-4
 MODEL_TOLERANCE = 1e-3
 
 
@@ -51,7 +55,7 @@ def probe_sum(out: Tensor) -> Tensor:
     return T.tsum(T.mul(out, Tensor(pattern.astype(out.data.dtype))))
 
 
-def check_op(build, inputs: list[np.ndarray], h: float = FD_STEP) -> float:
+def check_op(build, inputs: list[np.ndarray]) -> float:
     """Max relative error over all inputs of ``build``.
 
     ``build(tensors) -> Tensor`` must return a scalar loss and be
@@ -63,7 +67,7 @@ def check_op(build, inputs: list[np.ndarray], h: float = FD_STEP) -> float:
     loss.backward()
     worst = 0.0
     for leaf, arr in zip(leaves, inputs):
-        num = numerical_grad(lambda: float(build([Tensor(a) for a in inputs]).data), arr, h)
+        num = numerical_grad(lambda: float(build([Tensor(a) for a in inputs]).data), arr)
         worst = max(worst, rel_error(leaf.grad, num))
     return worst
 

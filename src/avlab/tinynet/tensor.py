@@ -104,9 +104,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.shape}")
@@ -284,10 +281,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.data.shape).copy())
 

@@ -36,10 +36,6 @@ from .tinynet.tensor import BCE_EPS, bce_loss
 COMBOS = ("audio", "visual", "both")  # which modality is replaced by a pseudo-fake
 
 
-def _uniform_combo_weights() -> dict[str, float]:
-    return {"audio": 1.0 / 3.0, "visual": 1.0 / 3.0, "both": 1.0 / 3.0}
-
-
 @dataclass
 class DataSpec:
     """Synthetic dataset sizing for CLI/ablation runs."""
@@ -79,7 +75,7 @@ class RunConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-5
     pseudo_fake_prob: float = 0.5
-    combo_weights: dict = field(default_factory=_uniform_combo_weights)
+    combo_weights: dict = field(default_factory=lambda: dict.fromkeys(COMBOS, 1.0 / 3.0))
     kind_policy: dict = field(default_factory=lambda: {"replace": 1.0})
     chunk: ChunkParams = field(default_factory=ChunkParams)
     detector: DetectorConfig = field(default_factory=DetectorConfig)

@@ -313,15 +313,34 @@ def _unknown_config_key(tensors, meta):
     ids=["config_hash", "extra_tensor", "no_detector_config", "bad_json_config", "unknown_config_key"],
 )
 def test_eval_rejects_inconsistent_checkpoint(tiny_config_file, tmp_path, corrupt):
+    out = tmp_path / "eval"
+    assert _eval_corrupted_checkpoint(tiny_config_file, tmp_path, corrupt) == 1
+    assert not list(out.glob("report_*"))
+
+
+def _eval_corrupted_checkpoint(config_file, tmp_path, corrupt) -> int:
     path = tmp_path / "checkpoint.avtc"
     save_checkpoint(path, Detector(DetectorConfig(**TINY_CONFIG["detector"])))
     tensors, meta = container.read_container(path)
     corrupt(tensors, meta)
     container.write_container(path, tensors, meta)
-    out = tmp_path / "eval"
-    rc = main(["eval", "--config", str(tiny_config_file), "--checkpoint", str(path), "--out", str(out)])
-    assert rc == 1
-    assert not list(out.glob("report_*"))
+    return main(["eval", "--config", str(config_file), "--checkpoint", str(path), "--out", str(tmp_path / "eval")])
+
+
+def _wrong_shape_tensor(tensors, meta):
+    tensors["fc2.bias"] = np.zeros((2,), np.float32)
+
+
+def _missing_tensor(tensors, meta):
+    del tensors["fc2.bias"]
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_shape_tensor, _missing_tensor], ids=["wrong_shape", "missing"])
+def test_eval_names_file_and_parameter_of_bad_tensor(tiny_config_file, tmp_path, capsys, corrupt):
+    assert _eval_corrupted_checkpoint(tiny_config_file, tmp_path, corrupt) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "checkpoint.avtc") in err
+    assert "'fc2.bias'" in err
 
 
 @pytest.mark.parametrize(

@@ -140,3 +140,20 @@ def test_malformed_header_schema(tmp_path, header):
     with pytest.raises(ContainerFormatError) as err:
         read_container(path)
     assert err.value.offset == len(MAGIC) + 8
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [[1] * 65, [2**62, 0]],
+    ids=["more_dims_than_numpy_allows", "empty_shape_too_big_to_index"],
+)
+def test_shape_numpy_cannot_build(tmp_path, shape):
+    # Each shape passes the header schema and the payload size check
+    # (4 bytes, and 0 bytes), but numpy cannot reshape a buffer to it.
+    path = tmp_path / "shape.avtc"
+    blob = json.dumps({"tensors": [dict(GOOD_ENTRY, shape=shape)], "meta": {}}).encode()
+    payload = struct.pack("<f", 1.0) if 0 not in shape else b""
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+    with pytest.raises(ContainerFormatError, match="numpy cannot build") as err:
+        read_container(path)
+    assert err.value.offset == len(MAGIC) + 8 + len(blob)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import avlab
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -22,3 +24,17 @@ def test_quick_demo_exits_zero(name, capsys):
     except SystemExit as exc:
         assert exc.code in (None, 0)
     assert capsys.readouterr().out
+
+
+def test_demo_01_cleans_up_its_container(monkeypatch):
+    # The demo writes its pair into a temporary directory that is gone afterwards.
+    written, save_pair = [], avlab.save_pair
+
+    def recording_save_pair(path, pair):
+        written.append(Path(path))
+        save_pair(path, pair)
+
+    monkeypatch.setattr(avlab, "save_pair", recording_save_pair)
+    runpy.run_path(str(DEMOS / "01_synthetic_pairs.py"), run_name="__main__")
+    assert len(written) == 1
+    assert not written[0].parent.exists()

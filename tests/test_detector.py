@@ -241,9 +241,14 @@ def test_config_validation():
         ("audio", {"out": 4, "kernel": [9], "stride": 4}, r"audio_blocks\[0\]\.kernel must be a positive int"),
         ("audio", {"out": True, "kernel": 9, "stride": 4}, r"audio_blocks\[0\] must be an object"),
         ("audio", [4, 9, 4], r"audio_blocks\[0\] must be an object"),
+        ("visual", {"out": 8, "kernel": [3, 3, 3], "stride": [1, 2, 2], "padding": [0, 0, 0]},
+         r"visual_blocks\[0\] has unknown key 'padding'"),
+        ("audio", {"type": "conv", "out": 4, "kernel": 9, "stride": 4}, r"audio_blocks\[0\] has unknown key 'type'"),
+        ("audio", {"out": 4, "kernel": 9, "stride": 4, "dilation": 2}, r"audio_blocks\[0\] has unknown key 'dilation'"),
     ],
     ids=["no_kernel", "short_kernel", "zero_stride", "bad_type", "zero_out",
-         "audio_no_stride", "audio_list_kernel", "audio_bool_out", "audio_not_object"],
+         "audio_no_stride", "audio_list_kernel", "audio_bool_out", "audio_not_object",
+         "visual_padding", "audio_type", "audio_dilation"],
 )
 def test_config_rejects_malformed_block(path, block, message):
     cfg = DetectorConfig()

@@ -83,6 +83,16 @@ def test_auc_single_class_error():
         auc([(0.5, "fake"), (0.7, "fake")])
 
 
+@pytest.mark.parametrize(
+    "scored",
+    [[(np.nan, "fake"), (np.nan, "real")], [(0.2, "fake"), (np.nan, "real"), (0.9, "real")]],
+    ids=["all_nan", "one_nan"],
+)
+def test_auc_nan_score_error(scored):
+    with pytest.raises(MetricError, match="NaN"):
+        auc(scored)
+
+
 def test_scored_video_mean():
     v = ScoredVideo("v0", [0.25, 0.5, 0.75], "fake")
     assert abs(v.video_score - 0.5) < 1e-9
