@@ -224,7 +224,7 @@ class Detector:
             raise ShapeError(
                 f"visual input must be (B, T, {self.config.visual_in_channels}, H, W), got {x.shape}"
             )
-        h = Tensor(np.ascontiguousarray(x.transpose(0, 2, 1, 3, 4)))
+        h = Tensor(x.transpose(0, 2, 1, 3, 4))  # a view: the stem's pad copy does the transpose
         for kind, layer in self.visual_layers:
             h = layer(h) if kind == "res" else tn.relu(layer(h))
         h = tn.adaptive_avg_pool3d(h, (self.config.t_prime, 1, 1))

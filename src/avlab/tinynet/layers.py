@@ -34,8 +34,7 @@ class Conv3d:
         self.bias = Tensor(_bias_uniform(c_out, fan_in, rng, dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv3d(x, self.weight, self.stride, self.padding)
-        return T.add(out, T.reshape(self.bias, (1, -1, 1, 1, 1)))
+        return T.conv3d(x, self.weight, self.stride, self.padding, bias=self.bias)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -52,8 +51,7 @@ class Conv1d:
         self.bias = Tensor(_bias_uniform(c_out, fan_in, rng, dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv1d(x, self.weight, self.stride, self.padding)
-        return T.add(out, T.reshape(self.bias, (1, -1, 1)))
+        return T.conv1d(x, self.weight, self.stride, self.padding, bias=self.bias)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -12,16 +12,25 @@ in float32 for training and float64 for finite-difference checks.
 pads the input channels-last, (B, *S, C), so each window copied into the
 column matrix and each tap's gradient added back moves contiguous runs
 of ``kw * C`` or ``C`` values, not the one to five values a
-channels-first layout gives.  Only the taps of the last two spatial axes
-go into the column matrix's K dimension.  The taps of a leading axis
-(time, for conv3d) go into the GEMM's N dimension: one GEMM against a
-(K, kt * O) weight block gives kt partial outputs for every input frame,
-and shift-adding them along time gives the output, so the column matrix
-of a kt = 3 conv3d is three times smaller.  conv1d has no leading axis,
-so all its taps stay in K.  Each call's geometry (output sizes, padded
-shape, index tuples, permutations and the byte strides of the
-``as_strided`` views) is planned once per (shapes, stride, padding,
-itemsize) and cached.  Public tensors stay (B, C, ...).
+channels-first layout gives.  It writes its output channels-last too, a
+(B, *So, O) buffer behind the (B, O, *So) transposed view it returns, and
+elementwise ops keep that memory order.  So a conv fed by another conv
+(through relu or a residual add) finds its input's channels innermost in
+memory and pads it with one copy; other inputs (the stem's clip batch,
+the waveform) are copied one channel at a time.  The strides choose the
+path.  Tensors may therefore be non-contiguous views.  Only the taps of
+the last two spatial axes go into the column matrix's K dimension.  The
+taps of a leading axis (time, for conv3d, when kt > 1) go into the GEMM's
+N dimension: one GEMM against a (K, kt * O) weight block gives kt partial
+outputs for every input frame read.  Time padding never enters the buffer
+or the GEMM: each tap adds its partial outputs into the output frames it
+reaches, through an output slice and a source slice, and a tap that
+reaches every output frame goes first as a copy.  With kt = 1, and for
+conv1d, every axis is a trailing one and the GEMM result is the output.
+An optional (O,) ``bias`` is added in place in the same tape node.  Each
+call's geometry (output sizes, padded shape, index tuples, tap slices,
+permutations and the byte strides of the ``as_strided`` view) is planned
+once per (shapes, stride, padding, itemsize) and cached.
 """
 
 from __future__ import annotations
@@ -349,19 +358,22 @@ def _out_len(n: int, k: int, s: int, p: int) -> int:
 
 
 class _ConvPlan(NamedTuple):
-    """Geometry of one conv call: shapes, views, permutations and byte strides."""
+    """Geometry of one conv call: shapes, views, permutations, slices and byte strides."""
 
-    xp_shape: tuple  # padded channels-last input (B, *Sp, C)
-    inner: tuple  # where the unpadded input sits in xp, channel axis left open
+    xp_shape: tuple  # channels-last input (B, *Sp, C), padded on the trailing axes only
+    inner: tuple  # where the input sits in xp, channel axis left open
+    to_last: tuple  # (B, C, *S) -> (B, *S, C)
+    to_first: tuple  # the inverse permutation
     cols_shape: tuple  # as_strided view of xp: (B, *lead rows, *trail So, *trail taps, C)
     cols_strides: tuple
     gemm: tuple  # (K, N): K = trail taps * C, N = lead taps * O
     w_axes: tuple  # (O, C, *ks) -> (*trail taps, C, *lead taps, O), the (K, N) GEMM operand
     w_back: tuple  # the inverse permutation, for the weight gradient
-    y_shape: tuple  # GEMM result (B, *lead rows, *trail So, *lead taps, O)
-    sum_shape: tuple  # as_strided view of y: (B, O, *So, *lead taps)
-    sum_strides: tuple
-    lead_taps: tuple  # index of each lead tap's (B, O, *So) slice in that view
+    y_shape: tuple  # GEMM result (B, *lead rows, *trail So, *lead taps, O); the output if no lead axis
+    out_shape: tuple  # channels-last output (B, *So, O)
+    lead_taps: tuple | None  # per lead tap, (output slice, GEMM-result slice); None with no lead axis
+    cover: bool  # lead_taps[0] writes every output, so the sum starts with its copy
+    bias_index: np.ndarray  # picks the (O,) bias for one row of the output's last two axes
     gcols_shape: tuple  # input gradient (trail taps, B, *lead rows, *trail So, C)
     taps: tuple  # per trailing tap, its destination in the padded input gradient
 
@@ -375,29 +387,39 @@ def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
     B, C, *S = x_shape
     O, _, *ks = w_shape
     n = len(S)
-    m = max(0, n - 2)  # leading axes whose taps join the GEMM's N dimension
+    m = int(n > 2 and ks[0] > 1)  # a lead (time) axis whose taps join the GEMM's N dimension
     So = [_out_len(*dims) for dims in zip(S, ks, stride, padding)]
-    Sp = [s + 2 * p for s, p in zip(S, padding)]
-    rows = [(o - 1) * s + k for o, s, k in zip(So[:m], stride[:m], ks[:m])]  # lead positions read
+    pads = (0,) * m + padding[m:]  # the lead axis' padding never reaches the buffer or the GEMM
+    Sp = [s + 2 * p for s, p in zip(S, pads)]
+    rows = [max(1, min(S[0], (So[0] - 1) * stride[0] + ks[0] - padding[0]))] * m  # frames read, at least one
+    lead_taps, cover = None, False
+    if m:  # tap t adds GEMM-result frame i into output frame (i + p - t) / s, for outputs a..b-1
+        s, p, R, To = stride[0], padding[0], rows[0], So[0]
+        spans = [(t, max(0, -((t - p) // s)), min(To, (R - 1 + p - t) // s + 1)) for t in range(ks[0])]
+        spans = sorted((sp for sp in spans if sp[1] < sp[2]), key=lambda sp: sp[1:] != (0, To))
+        cover = bool(spans) and spans[0][1:] == (0, To)
+        lead_taps = tuple(((slice(None), slice(a, b)),
+                           (slice(None), slice(a * s + t - p, b * s + t - p, s), Ellipsis, t, slice(None)))
+                          for t, a, b in spans)
     xs = _c_strides((B, *Sp, C), itemsize)
-    y_shape = (B, *rows, *So[m:], *ks[:m], O)
-    ys = _c_strides(y_shape, itemsize)
-    lead, trail = range(m), range(m, n)
+    trail = range(m, n)
     w_axes = (*range(2 + m, 2 + n), 1, *range(2, 2 + m), 0)
+    to_last = (0, *range(2, n + 2), 1)
     return _ConvPlan(
         xp_shape=(B, *Sp, C),
-        inner=(slice(None), *(slice(p, p + s) for p, s in zip(padding, S))),
+        inner=(slice(None), *(slice(p, p + s) for p, s in zip(pads, S))),
+        to_last=to_last,
+        to_first=tuple(int(a) for a in np.argsort(to_last)),
         cols_shape=(B, *rows, *So[m:], *ks[m:], C),
         cols_strides=(xs[0], *xs[1:1 + m], *(xs[1 + i] * stride[i] for i in trail), *xs[1 + m:1 + n], itemsize),
         gemm=(math.prod(ks[m:]) * C, math.prod(ks[:m]) * O),
         w_axes=w_axes,
         w_back=tuple(int(a) for a in np.argsort(w_axes)),
-        y_shape=y_shape,
-        # out[b, o, *pos] = sum over lead taps t of y[b, pos_lead * stride + t, pos_trail, t, o]
-        sum_shape=(B, O, *So, *ks[:m]),
-        sum_strides=(ys[0], itemsize, *(ys[1 + i] * stride[i] for i in lead), *ys[1 + m:1 + n],
-                     *(ys[1 + i] + ys[1 + n + i] for i in lead)),
-        lead_taps=tuple((Ellipsis, *tap) for tap in np.ndindex(*ks[:m])),
+        y_shape=(B, *rows, *So[m:], *ks[:m], O),
+        out_shape=(B, *So, O),
+        lead_taps=lead_taps,
+        cover=cover,
+        bias_index=np.arange(math.prod(So[-2:]) * O) % O,
         gcols_shape=(-1, B, *rows, *So[m:], C),
         taps=tuple(
             (slice(None), *(slice(0, r) for r in rows),
@@ -407,32 +429,48 @@ def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
     )
 
 
-def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple[int, ...]) -> Tensor:
+def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple[int, ...],
+          bias: Tensor | None) -> Tensor:
     # (B, C, *S) cross-correlated with (O, C, *K) as one GEMM of cols (rows, K) by the
-    # (K, N) weight block; trailing-axis taps sit in K, leading-axis taps in N
+    # (K, N) weight block; trailing-axis taps sit in K, lead-axis taps in N
     if x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"{op} channel mismatch: input {x.shape} vs kernel {w.shape}")
+    if bias is not None and bias.data.shape != w.data.shape[:1]:
+        raise ShapeError(f"{op} bias {bias.shape} does not match kernel {w.shape}")
     dtype = np.result_type(x.data, w.data)  # the GEMM's dtype, whose itemsize the plan's strides assume
     p = _conv_plan(x.data.shape, w.data.shape, stride, padding, dtype.itemsize)
     C = x.data.shape[1]
 
     xp = np.zeros(p.xp_shape, dtype=dtype)
-    for c in range(C):  # per channel: one moveaxis copy walks C-value runs, 2.5x slower at C=3
-        xp[(*p.inner, c)] = x.data[:, c]
+    if x.data.strides[1] == x.data.itemsize:  # channels innermost in memory: one copy
+        xp[p.inner] = x.data.transpose(p.to_last)
+    else:  # per channel: one transposed copy would walk C-value runs, 2.5x slower at C=3
+        for c in range(C):
+            xp[(*p.inner, c)] = x.data[:, c]
     cols = as_strided(xp, p.cols_shape, p.cols_strides).reshape(-1, p.gemm[0])
     wt = w.data.transpose(p.w_axes)
     wmat = wt.reshape(p.gemm)
-    shifted = as_strided(cols @ wmat, p.sum_shape, p.sum_strides)
-    out = shifted[p.lead_taps[0]].copy()
-    for tap in p.lead_taps[1:]:
-        out += shifted[tap]
+    out = y = (cols @ wmat).reshape(p.y_shape)
+    if p.lead_taps is not None:  # sum the lead taps' partial outputs, from a copy of one covering all
+        out = y[p.lead_taps[0][1]].copy() if p.cover else np.zeros(p.out_shape, dtype=dtype)
+        for dst, src in p.lead_taps[p.cover:]:
+            out[dst] += y[src]
+    if bias is not None:  # by long rows: a broadcast over the short channel axis is 3x slower
+        flat = out.reshape(-1, len(p.bias_index))
+        flat += bias.data[p.bias_index]
 
     def backward(g):
-        gy = np.zeros(p.y_shape, dtype=dtype)
-        shifted = as_strided(gy, p.sum_shape, p.sum_strides)
-        for tap in p.lead_taps:
-            shifted[tap] = g
-        gymat = gy.reshape(-1, p.gemm[1])
+        gl = g.transpose(p.to_last)
+        gmat = gl.reshape(-1, gl.shape[-1])
+        if bias is not None:  # a GEMV: numpy's column sum over (rows, O) is 10x slower
+            _accum(bias, np.ones(len(gmat), dtype=dtype) @ gmat)
+        if p.lead_taps is None:
+            gymat = gmat
+        else:
+            gy = np.zeros(p.y_shape, dtype=dtype)
+            for dst, src in p.lead_taps:
+                gy[src] = gl[dst]
+            gymat = gy.reshape(-1, p.gemm[1])
         if w.requires_grad:
             _accum(w, (cols.T @ gymat).reshape(wt.shape).transpose(p.w_back))
         if x.requires_grad:
@@ -441,23 +479,23 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
             gxp = np.zeros_like(xp)
             for k, dst in enumerate(p.taps):
                 gxp[dst] += gcols[k]
-            _accum(x, np.moveaxis(gxp[p.inner], -1, 1))
+            _accum(x, gxp[p.inner].transpose(p.to_first))
 
-    return _node(out, (x, w), backward)
+    return _node(out.transpose(p.to_first), (x, w) if bias is None else (x, w, bias), backward)
 
 
-def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
-    """Cross-correlation of (B, C, T, H, W) with (O, C, kt, kh, kw)."""
+def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias: Tensor | None = None) -> Tensor:
+    """Cross-correlation of (B, C, T, H, W) with (O, C, kt, kh, kw), plus an optional (O,) bias."""
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise ShapeError(f"conv3d expects 5-d input/kernel, got {x.shape} and {w.shape}")
-    return _conv("conv3d", x, w, tuple(stride), tuple(padding))
+    return _conv("conv3d", x, w, tuple(stride), tuple(padding), bias)
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (B, C, L) with (O, C, k)."""
+def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
+    """Cross-correlation of (B, C, L) with (O, C, k), plus an optional (O,) bias."""
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d expects 3-d input/kernel, got {x.shape} and {w.shape}")
-    return _conv("conv1d", x, w, (stride,), (padding,))
+    return _conv("conv1d", x, w, (stride,), (padding,), bias)
 
 
 def _pool_bins(n: int, bins: int) -> list[tuple[int, int]]:

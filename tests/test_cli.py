@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avlab import avdata, container
+from avlab import avdata, cli, container
 from avlab.cli import main
 from avlab.detector import Detector, DetectorConfig, save_checkpoint
+from avlab.errors import ConfigError, ContainerFormatError, DivergenceError, MetricError, ShapeError
 from avlab.evalkit import SPLITS, make_split
 from avlab.pseudofake import apply_manipulation
 from avlab.rng import derive_seed
@@ -417,3 +418,29 @@ def test_seed_flag_overrides_config(tiny_config_file, tmp_path):
     rc = main(["synth", "--config", str(tiny_config_file), "--out", str(out), "--seed", "99"])
     assert rc == 0
     assert json.loads((out / "resolved_config.json").read_text())["seed"] == 99
+
+
+# cli.main's except clauses: validation errors exit 1, every other error exits 2
+EXIT_CODE_TABLE = [
+    (ConfigError("bad config"), 1),
+    (ContainerFormatError("bad container", 3), 1),
+    (FileNotFoundError("no such file"), 1),
+    (json.JSONDecodeError("bad json", "{", 1), 1),
+    (ShapeError("bad shape"), 2),
+    (MetricError("single-class AUC"), 2),
+    (DivergenceError("non-finite loss"), 2),
+    (RuntimeError("anything else"), 2),
+    (KeyError("missing"), 2),
+]
+
+
+@pytest.mark.parametrize("error,code", EXIT_CODE_TABLE, ids=[type(e).__name__ for e, _ in EXIT_CODE_TABLE])
+def test_exit_code_table(error, code, monkeypatch, capsys):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", failing)
+    assert (cli.EXIT_VALIDATION, cli.EXIT_RUNTIME) == (1, 2)
+    assert main(["gradcheck"]) == code
+    prefix = "error: " if code == 1 else f"runtime failure: {type(error).__name__}: "
+    assert capsys.readouterr().err.startswith(prefix)

@@ -1,5 +1,7 @@
 """Detector architecture: shape contracts, map invariants, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,68 @@ def test_one_adam_step_decreases_loss():
         y1, _, _ = model.forward(v, a)
         improved += float(bce_loss(y1, labels).data) < float(loss0.data)
     assert improved >= 95, improved
+
+
+def test_train_step_tape_has_one_node_per_conv_layer():
+    m = toy_model()
+    v, a = rand_inputs(substream(0, "tape"))
+    y, _, _ = m.forward(v, a)
+    loss = tn.bce_loss(y, np.array([0.0, 1.0], np.float32))
+    seen, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    assert len(seen) == 63
+
+    # the stem's input needs no gradient; the next conv's input does
+    stem, block = m.visual_layers[0][1], m.visual_layers[1][1]
+    h = stem(Tensor(v.transpose(0, 2, 1, 3, 4)))
+    assert h._parents == (stem.weight, stem.bias)
+    out = block.conv1(h)
+    assert out._parents == (h, block.conv1.weight, block.conv1.bias)
+
+
+def test_conv_activations_stay_channels_last():
+    # the stem's output, after relu, is stored (B, T, H, W, C), so visual.1
+    # takes the kernel's one-copy pad path
+    m = toy_model()
+    v, _ = rand_inputs(substream(0, "layout"))
+    h = tn.relu(m.visual_layers[0][1](Tensor(v.transpose(0, 2, 1, 3, 4))))
+    assert h.data.shape == (2, 8, 16, 8, 8)
+    assert h.data.strides[1] == h.data.itemsize
+    assert np.moveaxis(h.data, 1, -1).flags.c_contiguous
+
+
+def test_conv_plans_have_no_padding_only_gemm_rows(monkeypatch):
+    # score geometry: a batch of 16 clips of 16 frames at the synthetic default size
+    calls = []
+    plan = tn._conv_plan
+
+    def recording(x_shape, w_shape, stride, padding, itemsize):
+        calls.append((x_shape, w_shape, stride, plan(x_shape, w_shape, stride, padding, itemsize)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(tn, "_conv_plan", recording)
+    m = toy_model()
+    with tn.no_grad():
+        m.forward(*rand_inputs(substream(0, "plans"), b=16))
+
+    def gemm_rows(p):
+        return math.prod(p.cols_shape) // p.gemm[0]
+
+    visual = [c for c in calls if len(c[0]) == 5]
+    x_shape, _, _, stem = visual[0]
+    B, T, (Ho, Wo) = x_shape[0], x_shape[2], stem.out_shape[2:4]
+    assert (B, T) == (16, 16) and stem.cols_shape[:2] == (B, T)
+    assert gemm_rows(stem) == B * T * Ho * Wo  # every frame read once, no padding frames
+    for x_shape, w_shape, stride, p in visual:
+        if w_shape[2] > 1:  # time taps in the GEMM's N: one row per input frame
+            assert p.cols_shape[1] == x_shape[2]
+    (_, _, _, proj), = [c for c in visual if c[1][2:] == (1, 1, 1) and c[2] == (2, 2, 2)]
+    assert proj.lead_taps is None and proj.cols_shape[1] == 8  # 8 rows per 16-frame clip
+    assert gemm_rows(proj) == math.prod(proj.out_shape[:-1])
 
 
 def test_no_grad_forward_bit_identical():

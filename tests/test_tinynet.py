@@ -222,35 +222,81 @@ CONV_CASES = {
 }
 
 
+def _run_conv(x_arr, w_arr, b_arr, stride, padding, g):
+    """Output and input, weight and bias gradients of one taped conv call for output gradient ``g``."""
+    x, w = Tensor(x_arr, requires_grad=True), Tensor(w_arr, requires_grad=True)
+    b = None if b_arr is None else Tensor(b_arr, requires_grad=True)
+    if x_arr.ndim == 5:
+        out = tn.conv3d(x, w, stride, padding, bias=b)
+    else:
+        out = tn.conv1d(x, w, stride[0], padding[0], bias=b)
+    tn.tsum(tn.mul(out, Tensor(g))).backward()
+    return out.data, x.grad, w.grad, None if b is None else b.grad
+
+
+def _out_shape(x_shape, w_shape, stride, padding):
+    sizes = [(n + 2 * p - k) // s + 1 for n, k, s, p in zip(x_shape[2:], w_shape[2:], stride, padding)]
+    return (x_shape[0], w_shape[0], *sizes)
+
+
+def _channels_last_view(a):
+    """The same values as ``a`` (B, C, *S), stored (B, *S, C) in memory."""
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, -1)), -1, 1)
+    assert np.moveaxis(view, 1, -1).flags.c_contiguous and np.array_equal(view, a)
+    return view
+
+
 @pytest.mark.parametrize("case", sorted(CONV_CASES))
 def test_conv_matches_naive_reference(case):
     # float64 -> float32 -> float64 on one geometry, starting from an empty plan
-    # cache: each dtype must get its own plan, never the other itemsize's strides
+    # cache: each dtype must get its own plan, never the other itemsize's strides.
+    # Each dtype runs without a bias, with one, and on a channels-last view of the
+    # input, which takes the kernel's one-copy pad path and must not move a bit.
     x_shape, w_shape, stride, padding = CONV_CASES[case]
     rng = substream(10, "conv-reference", case)
     x64, w64 = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
-    g64 = None
+    g64, b64 = rng.standard_normal(_out_shape(x_shape, w_shape, stride, padding)), rng.standard_normal(w_shape[0])
     tn._conv_plan.cache_clear()
     for dtype in (np.float64, np.float32, np.float64):
-        x = Tensor(x64.astype(dtype), requires_grad=True)
-        w = Tensor(w64.astype(dtype), requires_grad=True)
-        if len(x_shape) == 5:
-            out = tn.conv3d(x, w, stride, padding)
-        else:
-            out = tn.conv1d(x, w, stride[0], padding[0])
-        if g64 is None:
-            g64 = rng.standard_normal(out.shape)
-        g = g64.astype(dtype)
-        tn.tsum(tn.mul(out, Tensor(g))).backward()
+        x, w, g, b = (a.astype(dtype) for a in (x64, w64, g64, b64))
+        out, gx, gw, _ = _run_conv(x, w, None, stride, padding, g)
 
         # reference in float64 on the very values the kernel saw
         ref_out, ref_gx, ref_gw = _naive_conv(
-            x.data.astype(np.float64), w.data.astype(np.float64), stride, padding, g.astype(np.float64)
+            x.astype(np.float64), w.astype(np.float64), stride, padding, g.astype(np.float64)
         )
-        for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw)):
+        bias_shape = (1, -1) + (1,) * (len(x_shape) - 2)
+        bout, bgx, bgw, bgb = _run_conv(x, w, b, stride, padding, g)
+        checks = [(out, ref_out), (gx, ref_gx), (gw, ref_gw),
+                  (bout, ref_out + b.astype(np.float64).reshape(bias_shape)), (bgx, ref_gx), (bgw, ref_gw),
+                  (bgb, g.astype(np.float64).sum(axis=(0, *range(2, len(x_shape)))))]
+        for got, ref in checks:
             assert got.shape == ref.shape and got.dtype == dtype
             assert np.abs(got - ref).max() <= CONV_REFERENCE_TOL[dtype] * np.abs(ref).max()
+
+        for got, want in zip(_run_conv(_channels_last_view(x), w, None, stride, padding, g), (out, gx, gw)):
+            assert got.tobytes() == want.tobytes()
     assert tn._conv_plan.cache_info().misses == 2
+
+
+# Time-axis geometries the detector does not use: an even kernel under "same"
+# padding, where no time tap reaches every output frame, and a stride so large
+# that the only output frame reads nothing but padding.
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+    ((2, 2, 4, 3, 3), (3, 2, 2, 3, 3), (1, 1, 1), (1, 1, 1)),
+    ((1, 2, 1, 3, 3), (2, 2, 3, 1, 1), (7, 1, 1), (3, 0, 0)),
+], ids=["even_kernel", "padding_only_output"])
+def test_conv_without_a_covering_time_tap(x_shape, w_shape, stride, padding):
+    assert not tn._conv_plan(x_shape, w_shape, stride, padding, 8).cover
+    rng = substream(12, "conv-uncovered", str(x_shape))
+    x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])
+    g = rng.standard_normal(_out_shape(x_shape, w_shape, stride, padding))
+    out, gx, gw, gb = _run_conv(x, w, b, stride, padding, g)
+    ref_out, ref_gx, ref_gw = _naive_conv(x, w, stride, padding, g)
+    for got, ref in ((out, ref_out + b.reshape(1, -1, 1, 1, 1)), (gx, ref_gx), (gw, ref_gw),
+                     (gb, g.sum(axis=(0, 2, 3, 4)))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_no_grad_builds_no_tape():
