@@ -250,38 +250,28 @@ def synth_fake_pair(
     if mode not in ("global_desync", "local_desync"):
         raise ConfigError(f"unknown fake mode {mode!r}")
     base = _draw_base(cfg, rng)
-
+    env = {"visual": base.env, "audio": base.env}
+    meta = PairMeta(source_id=source_id, origin=mode)
+    artifact = 0.0
     if mode == "global_desync":
-        env_audio = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
-        return AVPair(
-            visual=_render_visual(cfg, base.env, base),
-            audio=_render_audio(cfg, env_audio, artifact=cfg.fake_audio_artifact),
-            label="fake",
-            meta=PairMeta(source_id=source_id, origin="global_desync"),
-        )
-
-    chunk = chunk or ChunkParams()
-    modality = ("visual", "audio")[int(rng.integers(0, 2))]
-    i, l = sample_chunk(cfg.t_v, chunk, rng)
-    donor_env = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
-    env_mod = base.env.copy()
-    env_mod[i : i + l] = donor_env[i : i + l]
-
-    meta = PairMeta(source_id=source_id, origin="local_desync")
-    if modality == "visual":
-        visual = _render_visual(cfg, env_mod, base)
-        audio = _render_audio(cfg, base.env)
-        meta.visual_manipulations.append(
-            ManipulationSpec(kind="replace", i=i, l=l, donor_id="independent-envelope")
-        )
+        env["audio"] = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
+        artifact = cfg.fake_audio_artifact
     else:
-        spf = cfg.samples_per_frame
-        visual = _render_visual(cfg, base.env, base)
-        audio = _render_audio(cfg, env_mod)
-        meta.audio_manipulations.append(
+        modality = ("visual", "audio")[int(rng.integers(0, 2))]
+        i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
+        donor_env = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
+        env[modality] = base.env.copy()
+        env[modality][i : i + l] = donor_env[i : i + l]
+        spf = cfg.samples_per_frame if modality == "audio" else 1
+        getattr(meta, f"{modality}_manipulations").append(
             ManipulationSpec(kind="replace", i=i * spf, l=l * spf, donor_id="independent-envelope")
         )
-    return AVPair(visual=visual, audio=audio, label="fake", meta=meta)
+    return AVPair(
+        visual=_render_visual(cfg, env["visual"], base),
+        audio=_render_audio(cfg, env["audio"], artifact),
+        label="fake",
+        meta=meta,
+    )
 
 
 def iter_pairs(

@@ -1,9 +1,12 @@
 """Video-level AUC evaluation and the ablation runner.
 
-Videos are split into fixed-length non-overlapping subsequences, every
-subsequence is scored by the detector, and the video score is the mean
-of its subsequence scores.  AUC is the rank-based (Mann-Whitney)
-statistic with ties counted as one half, fake as the positive class.
+Videos are cut into fixed-length windows (subsequences), non-overlapping
+unless the policy sets a shorter stride, and a video's score is the mean
+of the detector's window scores.  Audio is one row of T_a / T_v samples
+per frame, so the same frame boundaries cut both clips; a video shorter
+than a window repeats its last frame and that frame's audio span, and is
+flagged ``padded``.  AUC is the rank-based (Mann-Whitney) statistic with
+ties counted as one half, fake as the positive class.
 
 Two synthetic eval splits stand in for the in-dataset and the harder
 generalization settings: ``in_distribution`` uses globally desynced
@@ -127,34 +130,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _pad_to_length(pair: AVPair, length: int) -> tuple[np.ndarray, np.ndarray]:
-    # edge-replicate the last frame and its audio span
-    spf = pair.audio.t // pair.visual.t
-    missing = length - pair.visual.t
-    v = np.concatenate([pair.visual.data, np.repeat(pair.visual.data[-1:], missing, axis=0)])
-    a = np.concatenate([pair.audio.data, np.tile(pair.audio.data[-spf:], missing)])
-    return v, a
-
-
 def _windows(pair: AVPair, policy: SubsequencePolicy):
-    """Yield (visual, audio) windows plus a padded flag."""
+    """(visual, audio) windows of ``pair`` and a padded flag; with the audio viewed
+    as one row per frame, one slice cuts, and one repeat pads, both clips."""
     t = pair.visual.t
     length = policy.length if policy.length is not None else t
     stride = policy.stride if policy.stride is not None else length
     if length < 1 or stride < 1:
         raise ConfigError(f"subsequence length/stride must be >= 1, got {policy}")
-    if pair.audio.t % pair.visual.t != 0:
+    if pair.audio.t % t != 0:
         raise ConfigError("audio length must be a multiple of the frame count")
-    spf = pair.audio.t // pair.visual.t
+    clips = [pair.visual.data, pair.audio.data.reshape(t, -1)]
     if t < length:
-        v, a = _pad_to_length(pair, length)
-        return [(v, a)], True
-    wins = []
-    for start in range(0, t - length + 1, stride):
-        v = pair.visual.data[start : start + length]
-        a = pair.audio.data[start * spf : (start + length) * spf]
-        wins.append((v, a))
-    return wins, False
+        clips = [np.concatenate([c, np.repeat(c[-1:], length - t, axis=0)]) for c in clips]
+    v, a = clips
+    starts = range(0, len(v) - length + 1, stride)
+    return [(v[s : s + length], a[s : s + length].ravel()) for s in starts], t < length
 
 
 def evaluate(
@@ -175,31 +166,16 @@ def evaluate(
     if not eval_set:
         raise ConfigError("eval set is empty")
 
-    jobs = []  # (video index, visual window, audio window)
-    padded_flags = []
-    for vi, pair in enumerate(eval_set):
-        wins, padded = _windows(pair, policy)
-        padded_flags.append(padded)
-        for v, a in wins:
-            jobs.append((vi, v, a))
-
-    window_scores: dict[int, list[float]] = {vi: [] for vi in range(len(eval_set))}
+    per_video = [_windows(pair, policy) for pair in eval_set]
+    jobs = [w for wins, _ in per_video for w in wins]
+    scores = []
     for start in range(0, len(jobs), batch_size):
-        chunk = jobs[start : start + batch_size]
-        visuals = np.stack([c[1] for c in chunk])
-        audios = np.stack([c[2] for c in chunk])
-        scores = model.score_batch(visuals, audios)
-        for (vi, _, _), s in zip(chunk, scores):
-            window_scores[vi].append(float(s))
-
+        visuals, audios = zip(*jobs[start : start + batch_size])
+        scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
+    it = iter(scores)
     videos = [
-        ScoredVideo(
-            video_id=pair.meta.source_id,
-            scores=window_scores[vi],
-            label=pair.label,
-            padded=padded_flags[vi],
-        )
-        for vi, pair in enumerate(eval_set)
+        ScoredVideo(pair.meta.source_id, [next(it) for _ in wins], pair.label, padded)
+        for pair, (wins, padded) in zip(eval_set, per_video)
     ]
     value = auc([(v.video_score, v.label) for v in videos])
     return EvalReport(auc=value, subsequence_length=policy.length, stride=policy.stride, videos=videos)

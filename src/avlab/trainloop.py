@@ -26,7 +26,7 @@ import numpy as np
 
 from .avdata import AVPair, SynthConfig, apply_to_pair
 from .detector import Detector, DetectorConfig, save_checkpoint
-from .errors import ChunkRejected, ConfigError, DivergenceError
+from .errors import ChunkRejected, ConfigError, DivergenceError, ShapeError
 from .pseudofake import ChunkParams, sample_manipulation
 from .rng import derive_seed, substream
 from .schema import decode
@@ -195,6 +195,14 @@ class TrainResult:
         self.write_metrics(out / "metrics.jsonl")
 
 
+def _check_fit(model: Detector, pair: AVPair) -> None:
+    # one tape-free forward, so a detector that cannot take the clips fails before training
+    try:
+        model.forward_pair(pair)
+    except ShapeError as exc:
+        raise ConfigError(f"detector does not fit train pair {pair.meta.source_id!r}: {exc}") from exc
+
+
 def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
     """Run the optimization protocol and return the lowest-loss checkpoint.
 
@@ -214,6 +222,7 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
         )
 
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
+    _check_fit(model, train_set[0])
     opt = Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     donors = [p for p in train_set if p.label == "real"]
     n = len(train_set)

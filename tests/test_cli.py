@@ -368,6 +368,23 @@ def test_train_rejects_malformed_config(tmp_path, capsys, overrides, config, key
     assert not (out / "checkpoint.avtc").exists()
 
 
+@pytest.mark.parametrize(
+    "override, cause",
+    [
+        ("detector.t_prime=8", "adaptive pool cannot upsample"),
+        ("synth.c_v=3", "visual input must be (B, T, 1, H, W)"),
+    ],
+    ids=["t_prime_above_feature_length", "channels_mismatch"],
+)
+def test_train_rejects_detector_that_does_not_fit_the_clips(tiny_config_file, tmp_path, capsys, override, cause):
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(tiny_config_file), "--set", override, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "train-00000" in err and cause in err
+    assert not (out / "checkpoint.avtc").exists()
+
+
 def test_gradcheck_exit_code_and_report(capsys):
     assert main(["gradcheck", "--instances", "1"]) == 0
     out = capsys.readouterr().out

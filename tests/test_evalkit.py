@@ -108,7 +108,7 @@ class _StubModel:
 def _stub_pair(values, label, spf=10, source_id="v"):
     t = len(values)
     visual = np.ones((t, 1, 4, 4), np.float32) * np.asarray(values, np.float32)[:, None, None, None]
-    audio = np.zeros(t * spf, np.float32)
+    audio = np.linspace(-1.0, 1.0, t * spf, dtype=np.float32)  # every sample differs
     return avdata.AVPair(
         visual=avdata.VisualClip(visual),
         audio=avdata.AudioClip(audio),
@@ -148,6 +148,49 @@ def test_evaluate_short_video_padded_and_flagged():
     row = next(v for v in report.videos if v.video_id == "s0")
     assert row.padded and len(row.scores) == 1
     assert "yes" in report.to_text()
+
+
+class _RecordingModel:
+    """Returns each window's first visual sample as its score and records every batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def score_batch(self, visuals, audios):
+        self.batches.append((visuals.copy(), audios.copy()))
+        return visuals[:, 0, 0, 0, 0].astype(np.float64)
+
+
+def test_short_video_window_repeats_last_frame_and_its_audio_span():
+    spf = 5
+    short = _stub_pair([0.0, 0.1, 0.2], "fake", spf, source_id="s0")
+    full = _stub_pair(np.linspace(0.3, 0.8, 6), "real", spf, source_id="r0")
+    model = _RecordingModel()
+    report = evaluate(model, [short, full], SubsequencePolicy(length=6))
+    (visuals, audios), = model.batches
+    v, a = short.visual.data, short.audio.data
+    np.testing.assert_array_equal(visuals[0], np.concatenate([v] + [v[-1:]] * 3))
+    np.testing.assert_array_equal(audios[0], np.concatenate([a] + [a[-spf:]] * 3))
+    np.testing.assert_array_equal(visuals[1], full.visual.data)
+    np.testing.assert_array_equal(audios[1], full.audio.data)
+    assert [(r.padded, len(r.scores)) for r in report.videos] == [(True, 1), (False, 1)]
+
+
+def test_strided_windows_cross_batches_in_order():
+    spf, starts = 4, [0, 2, 4, 6]
+    pairs = [_stub_pair(np.arange(10) / 20, "fake", spf, "f0"), _stub_pair(np.arange(10) / 30, "real", spf, "r0")]
+    model = _RecordingModel()
+    report = evaluate(model, pairs, SubsequencePolicy(length=4, stride=2), batch_size=3)
+    assert [len(vis) for vis, _ in model.batches] == [3, 3, 2]
+    visuals = np.concatenate([vis for vis, _ in model.batches])
+    audios = np.concatenate([aud for _, aud in model.batches])
+    windows = [(p, s) for p in pairs for s in starts]
+    for (p, s), vis, aud in zip(windows, visuals, audios, strict=True):
+        np.testing.assert_array_equal(vis, p.visual.data[s : s + 4])
+        np.testing.assert_array_equal(aud, p.audio.data[s * spf : (s + 4) * spf])
+    for p, row in zip(pairs, report.videos, strict=True):
+        assert row.video_id == p.meta.source_id and not row.padded
+        assert row.scores == [float(p.visual.data[s, 0, 0, 0]) for s in starts]
 
 
 def test_evaluate_deterministic_and_serializable():
