@@ -9,8 +9,14 @@ import numpy as np
 from avlab import Detector, DetectorConfig, SynthConfig, substream, synth_fake_pair, synth_real_pair
 
 
+def infer_one(model, pair):
+    """Score and maps of one pair: ``infer`` on a batch of one."""
+    (y,), (m,), (a,) = model.infer(pair.visual.data[None], pair.audio.data[None])
+    return y, m, a
+
+
 def show_pair(model, name, pair):
-    y, m, a = model.forward_pair(pair)
+    y, m, a = infer_one(model, pair)
     print(f"{name}: fake probability {y:.3f}")
     print("  distance  map:", np.round(m, 3))
     print("  attention map:", np.round(a, 3), f"(sum {a.sum():.6f})")
@@ -29,12 +35,12 @@ def main():
 
     print("\nT'=1 collapses the map to one global distance:")
     tiny = Detector(DetectorConfig(t_prime=1), seed=0)
-    y, m, a = tiny.forward_pair(real)
+    y, m, a = infer_one(tiny, real)
     print(f"  distance map shape {m.shape}, attention {a} (softmax over one position)")
 
     print("\nattention can be disabled for the ablation baseline (uniform map):")
     flat = Detector(DetectorConfig(attention=False), seed=0)
-    _, _, a = flat.forward_pair(real)
+    _, _, a = infer_one(flat, real)
     print("  map:", np.round(a, 3))
 
 

@@ -36,9 +36,6 @@ _HEADER_LEN_BYTES = 8
 def write_container(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> None:
     """Write named float32 tensors and string metadata to ``path``."""
     meta = dict(meta or {})
-    names = list(tensors.keys())
-    if len(set(names)) != len(names):
-        raise ValueError("tensor names must be unique")
     for k, v in meta.items():
         if not isinstance(k, str) or not isinstance(v, str):
             raise ValueError(f"meta entries must be str -> str, got {k!r}: {v!r}")

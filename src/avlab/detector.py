@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -262,17 +263,24 @@ class Detector:
         y = self.classify(m_hat)
         return y, m, a
 
-    def forward_pair(self, pair) -> tuple[float, np.ndarray, np.ndarray]:
-        """Single AVPair -> (fake probability, distance map, attention map)."""
+    def infer(self, visuals, audios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tape-free forward: fake probabilities (B,) as float64, distance and attention maps (B, T')."""
         with tn.no_grad():
-            y, m, a = self.forward(pair.visual.data[None], pair.audio.data[None])
-        return float(y.data[0]), m.data[0].copy(), a.data[0].copy()
+            y, m, a = self.forward(visuals, audios)
+        return np.asarray(y.data, dtype=np.float64), m.data, a.data
 
     def score_batch(self, visuals: np.ndarray, audios: np.ndarray) -> np.ndarray:
         """Fake probabilities (B,) as float64, computed without a tape."""
-        with tn.no_grad():
-            y, _, _ = self.forward(visuals, audios)
-        return np.asarray(y.data, dtype=np.float64)
+        return self.infer(visuals, audios)[0]
+
+
+@contextmanager
+def must_fit(what: str):
+    """Turn a ShapeError raised inside into a ConfigError: the detector does not fit ``what``."""
+    try:
+        yield
+    except ShapeError as exc:
+        raise ConfigError(f"detector does not fit {what}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- storage

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from .avdata import AVPair, SynthConfig, iter_pairs
-from .detector import load_checkpoint
+from .detector import load_checkpoint, must_fit
 from .errors import ConfigError, MetricError
-from .pseudofake import ChunkParams
+from .pseudofake import KINDS, ChunkParams
 from .rng import derive_seed
 from .trainloop import EvalSpec, RunConfig, train
 
@@ -156,9 +156,9 @@ def evaluate(
 ) -> EvalReport:
     """Score every video of ``eval_set`` and compute the video-level AUC.
 
-    ``model`` is a Detector or a checkpoint path.  Videos shorter than
-    one subsequence are scored as a single edge-padded subsequence and
-    flagged in the report.
+    ``model`` is a Detector or a checkpoint path.  Videos shorter than one
+    subsequence are scored as a single edge-padded subsequence and flagged
+    in the report.  Windows the detector cannot take raise ConfigError.
     """
     if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
         model, _ = load_checkpoint(model)
@@ -169,9 +169,10 @@ def evaluate(
     per_video = [_windows(pair, policy) for pair in eval_set]
     jobs = [w for wins, _ in per_video for w in wins]
     scores = []
-    for start in range(0, len(jobs), batch_size):
-        visuals, audios = zip(*jobs[start : start + batch_size])
-        scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
+    with must_fit(f"eval windows of {len(jobs[0][0])} frames"):
+        for start in range(0, len(jobs), batch_size):
+            visuals, audios = zip(*jobs[start : start + batch_size])
+            scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
     it = iter(scores)
     videos = [
         ScoredVideo(pair.meta.source_id, [next(it) for _ in wins], pair.label, padded)
@@ -226,31 +227,26 @@ def make_split(
 AXES = ("manipulation_kind", "t_prime", "attention")
 
 
-def _variant(base: RunConfig, axis: str, value) -> RunConfig:
-    cfg = base.copy()
-    if axis == "manipulation_kind":
-        if value == "none":
-            cfg.pseudo_fake_prob = 0.0
-        else:
-            cfg.kind_policy = {str(value): 1.0}
-    elif axis == "t_prime":
-        cfg.detector.t_prime = int(value)
-    elif axis == "attention":
-        cfg.detector.attention = bool(value)
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {AXES}")
-    return cfg
-
-
 def default_axis_values(base: RunConfig, axis: str) -> list:
-    if axis == "manipulation_kind":
-        return ["none", "replace", "repeat", "flip", "translate"]
-    if axis == "t_prime":
-        t = base.detector.t_prime
-        return sorted({1, max(2, t // 2), t})
-    if axis == "attention":
-        return [True, False]
-    raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {AXES}")
+    t = base.detector.t_prime
+    table = dict(zip(AXES, (["none", *KINDS], sorted({1, max(2, t // 2), t}), [True, False])))
+    if axis not in table:  # the one check of an axis name
+        raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {AXES}")
+    return table[axis]
+
+
+def _variant(base: RunConfig, axis: str, value) -> RunConfig:
+    """``base`` with ``value`` on ``axis``, decoded and validated as a ``--set`` value is."""
+    d = base.to_dict()
+    if axis != "manipulation_kind":
+        d["detector"][axis] = value
+    elif isinstance(value, str):
+        d.update({"pseudo_fake_prob": 0.0} if value == "none" else {"kind_policy": {value: 1.0}})
+    else:
+        raise ConfigError(f"manipulation_kind values must be strings, got {value!r}")
+    cfg = RunConfig.from_dict(d)
+    cfg.validate()
+    return cfg
 
 
 @dataclass
@@ -283,14 +279,13 @@ def ablation_run(
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
     mean AUC on both synthetic eval splits."""
-    values = default_axis_values(base_cfg, axis) if values is None else list(values)
+    defaults = default_axis_values(base_cfg, axis)
+    variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
     table = AblationTable(axis=axis, seeds=list(seeds))
-    for value in values:
+    for value, variant in variants:
         per_seed = {"in_distribution": [], "fine_grained": []}
         for seed in seeds:
-            cfg = _variant(base_cfg, axis, value)
-            cfg.seed = int(seed)
-            cfg.checkpoint_dir = None
+            cfg = replace(variant, seed=int(seed), checkpoint_dir=None)
             train_set = list(split_pairs(cfg, "train", derive_seed(int(seed), "train-data")))
             result = train(cfg, train_set)
             policy = SubsequencePolicy(length=cfg.synth.t_v)

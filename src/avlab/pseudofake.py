@@ -171,6 +171,13 @@ def apply_manipulation(seq, spec: ManipulationSpec, donor=None):
     return out
 
 
+def check_weights(what: str, weights: dict, names) -> None:
+    """ConfigError unless ``weights`` maps names among ``names`` to ints or floats >= 0 summing to 1."""
+    numbers = all(type(w) is not bool and isinstance(w, (int, float)) and w >= 0 for w in weights.values())
+    if not (numbers and weights.keys() <= set(names) and abs(sum(weights.values()) - 1.0) <= 1e-6):
+        raise ConfigError(f"{what} must map names among {names} to numbers >= 0 summing to 1, got {weights}")
+
+
 def sample_manipulation(
     kind_policy: dict[str, float],
     T: int,
@@ -183,14 +190,9 @@ def sample_manipulation(
     Draw order is fixed (kind, chunk, param, direction) so a given rng
     state maps to exactly one spec.
     """
+    check_weights("kind_policy", kind_policy, KINDS)
     kinds = sorted(kind_policy)
-    probs = np.array([kind_policy[k] for k in kinds], dtype=np.float64)
-    if not kinds or abs(probs.sum() - 1.0) > 1e-6 or (probs < 0).any():
-        raise ConfigError(f"kind policy must be a distribution over kinds, got {kind_policy}")
-    for k in kinds:
-        if k not in KINDS:
-            raise ConfigError(f"unknown manipulation kind {k!r} in policy")
-    kind = kinds[int(rng.choice(len(kinds), p=probs))]
+    kind = kinds[int(rng.choice(len(kinds), p=[kind_policy[k] for k in kinds]))]
     i, l = sample_chunk(T, cp, rng)
     param = None
     direction = None

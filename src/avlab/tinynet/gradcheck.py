@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..rng import substream
 from . import tensor as T
 from .tensor import Tensor
@@ -79,6 +80,8 @@ def _away_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
 
 def run_suite(seed: int = 0, instances: int = 20, include_model: bool = True) -> dict[str, float]:
     """Finite-difference check of every op; returns {op: max rel err}."""
+    if instances < 1:
+        raise ConfigError(f"gradcheck needs instances >= 1, got {instances}")
     results: dict[str, float] = {}
 
     def record(name, err):

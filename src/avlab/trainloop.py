@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .avdata import AVPair, SynthConfig, apply_to_pair
-from .detector import Detector, DetectorConfig, save_checkpoint
-from .errors import ChunkRejected, ConfigError, DivergenceError, ShapeError
-from .pseudofake import ChunkParams, sample_manipulation
+from .detector import Detector, DetectorConfig, must_fit, save_checkpoint
+from .errors import ChunkRejected, ConfigError, DivergenceError
+from .pseudofake import KINDS, ChunkParams, check_weights, sample_manipulation
 from .rng import derive_seed, substream
 from .schema import decode
 from .tinynet import Adam
@@ -92,11 +92,8 @@ class RunConfig:
             raise ConfigError(f"lr and weight_decay must be >= 0, got {self.lr}, {self.weight_decay}")
         if not (0.0 <= self.pseudo_fake_prob <= 1.0):
             raise ConfigError(f"pseudo_fake_prob must lie in [0, 1], got {self.pseudo_fake_prob}")
-        if set(self.combo_weights) - set(COMBOS):
-            raise ConfigError(f"combo_weights keys must be among {COMBOS}, got {self.combo_weights}")
-        total = sum(self.combo_weights.values())
-        if abs(total - 1.0) > 1e-6 or any(v < 0 for v in self.combo_weights.values()):
-            raise ConfigError(f"combo_weights must be a distribution, got {self.combo_weights}")
+        check_weights("combo_weights", self.combo_weights, COMBOS)
+        check_weights("kind_policy", self.kind_policy, KINDS)
         self.chunk.validate()
         self.detector.validate()
         self.synth.validate()
@@ -195,14 +192,6 @@ class TrainResult:
         self.write_metrics(out / "metrics.jsonl")
 
 
-def _check_fit(model: Detector, pair: AVPair) -> None:
-    # one tape-free forward, so a detector that cannot take the clips fails before training
-    try:
-        model.forward_pair(pair)
-    except ShapeError as exc:
-        raise ConfigError(f"detector does not fit train pair {pair.meta.source_id!r}: {exc}") from exc
-
-
 def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
     """Run the optimization protocol and return the lowest-loss checkpoint.
 
@@ -222,7 +211,8 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
         )
 
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
-    _check_fit(model, train_set[0])
+    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):  # one tape-free forward before training
+        model.infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
     opt = Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     donors = [p for p in train_set if p.label == "real"]
     n = len(train_set)

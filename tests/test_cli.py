@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avlab import avdata, cli, container
+from avlab import avdata, cli, container, evalkit
 from avlab.cli import main
 from avlab.detector import Detector, DetectorConfig, save_checkpoint
 from avlab.errors import ConfigError, ContainerFormatError, DivergenceError, MetricError, ShapeError
@@ -288,6 +288,55 @@ def test_ablate_rejects_bad_list_argument(tiny_config_file, tmp_path, flag, valu
     assert not out.exists()  # rejected before anything is trained or written
 
 
+@pytest.mark.parametrize(
+    "axis, values, cause",
+    [
+        ("attention", '[true, "false"]', "config key detector.attention must be bool, got str 'false'"),
+        ("attention", "[true, 0]", "config key detector.attention must be bool, got int 0"),
+        ("attention", "[true, 1.5]", "config key detector.attention must be bool, got float 1.5"),
+        ("t_prime", '[2, "x"]', "config key detector.t_prime must be int, got str 'x'"),
+        ("t_prime", "[2, 1.5]", "config key detector.t_prime must be int, got float 1.5"),
+        ("manipulation_kind", '["none", "bogus"]', "kind_policy must map names among"),
+    ],
+    ids=["attention_str", "attention_int", "attention_float", "t_prime_str", "t_prime_float", "unknown_kind"],
+)
+def test_ablate_rejects_bad_axis_value(tiny_config_file, tmp_path, monkeypatch, capsys, axis, values, cause):
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    out = tmp_path / "ablation"
+    rc = main([
+        "ablate", "--config", str(tiny_config_file), "--axis", axis, "--values", values, "--seeds", "[0]",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert cause in capsys.readouterr().err
+    assert trained == []  # every value is checked before the first (valid) one trains
+    assert not list(out.glob("ablation_*"))
+
+
+def test_synth_rejects_unknown_kind_in_policy(tiny_config_file, tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["synth", "--config", str(tiny_config_file), "--set", 'kind_policy={"bogus": 1.0}', "--out", str(out)]
+    assert main(argv) == 1
+    assert "kind_policy must map names among" in capsys.readouterr().err
+    assert not list(out.rglob("pair-*.avtc"))
+
+
+def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint.avtc"
+    save_checkpoint(checkpoint, Detector(DetectorConfig(**TINY_CONFIG["detector"]), seed=0))
+    out = tmp_path / "eval"
+    rc = main([
+        "eval", "--config", str(tiny_config_file), "--checkpoint", str(checkpoint),
+        "--set", "synth.t_v=4", "--set", "synth.t_a=160", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector does not fit eval windows of 4 frames: ")
+    assert "adaptive pool cannot upsample: 4 bins for length 2" in err
+    assert not list(out.glob("report_*"))
+
+
 def _wrong_config_hash(tensors, meta):
     meta["config_hash"] = "0" * 16
 
@@ -353,8 +402,13 @@ def test_eval_names_file_and_parameter_of_bad_tensor(tiny_config_file, tmp_path,
         (['seed="x"'], TINY_CONFIG, "seed"),
         (['detector.visual_blocks=[{"out": 8}]'], TINY_CONFIG, "visual_blocks[0].kernel"),
         ([], {**TINY_CONFIG, "eval_data": {"n": 8, "fine_chunk": {"r_mn": 0.3}}}, "eval_data.fine_chunk.r_mn"),
+        (['kind_policy={"replace": "x"}'], TINY_CONFIG, "kind_policy must map names among"),
+        (['combo_weights={"audio": "x"}'], TINY_CONFIG, "combo_weights must map names among"),
     ],
-    ids=["float_epochs", "str_t_prime", "str_r_min", "str_seed", "block_without_kernel", "unknown_nested_key"],
+    ids=[
+        "float_epochs", "str_t_prime", "str_r_min", "str_seed", "block_without_kernel", "unknown_nested_key",
+        "str_kind_weight", "str_combo_weight",
+    ],
 )
 def test_train_rejects_malformed_config(tmp_path, capsys, overrides, config, key):
     config_file = tmp_path / "config.json"
@@ -390,6 +444,12 @@ def test_gradcheck_exit_code_and_report(capsys):
     out = capsys.readouterr().out
     assert "conv3d" in out and "detector_full" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_gradcheck_rejects_fewer_than_one_instance(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == 1
+    assert "instances >= 1" in capsys.readouterr().err
 
 
 def test_set_override_applied(tiny_config_file, tmp_path):

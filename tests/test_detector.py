@@ -239,7 +239,11 @@ def test_no_grad_forward_bit_identical():
         assert t.requires_grad and t._backward is not None
         assert not p.requires_grad and p._parents == () and p._backward is None
         assert p.data.tobytes() == t.data.tobytes()
-    assert m.score_batch(v, a).tobytes() == taped[0].data.astype(np.float64).tobytes()
+    scores, dmap, amap = m.infer(v, a)
+    assert scores.dtype == np.float64 and scores.tobytes() == taped[0].data.astype(np.float64).tobytes()
+    assert dmap.shape == amap.shape == (2, 8)
+    assert dmap.tobytes() == taped[1].data.tobytes() and amap.tobytes() == taped[2].data.tobytes()
+    assert m.score_batch(v, a).tobytes() == scores.tobytes()
 
 
 def test_attention_off_uses_uniform_map():

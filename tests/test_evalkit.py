@@ -6,7 +6,7 @@ import pytest
 from avlab import avdata
 from avlab.avdata import SynthConfig
 from avlab.detector import Detector, DetectorConfig
-from avlab.errors import MetricError
+from avlab.errors import ConfigError, MetricError
 from avlab.evalkit import (
     ScoredVideo,
     SubsequencePolicy,
@@ -253,6 +253,13 @@ def test_make_split_composition():
             p.validate()
     fines = [p for p in make_split(cfg, "fine_grained", 10, seed=3) if p.label == "fake"]
     assert all(p.meta.origin == "local_desync" for p in fines)
+
+
+def test_evaluate_rejects_windows_the_detector_does_not_fit():
+    eval_set = make_split(SynthConfig(), "in_distribution", 2, seed=0)
+    model = Detector(DetectorConfig(), seed=0)  # t_prime=8; 8-frame windows leave 4 feature steps
+    with pytest.raises(ConfigError, match=r"does not fit eval windows of 8 frames: adaptive pool cannot upsample"):
+        evaluate(model, eval_set, SubsequencePolicy(length=8))
 
 
 def test_ablation_table_structure_t_prime():

@@ -210,5 +210,13 @@ def test_run_config_validation():
         RunConfig(combo_weights={"audio": 0.9}).validate()
     with pytest.raises(ConfigError):
         RunConfig(combo_weights={"sideways": 1.0}).validate()
+    # one weight rule for both maps: allowed keys, ints or floats >= 0 (not bools, not NaN), sum 1
+    for bad in ({"audio": "x"}, {"audio": True}, {"audio": float("nan"), "both": 1.0}, {"audio": -1, "both": 2}):
+        with pytest.raises(ConfigError, match="combo_weights"):
+            RunConfig(combo_weights=bad).validate()
+    for bad in ({"replace": "x"}, {"bogus": 1.0}, {"replace": True}, {}, {"replace": float("inf")}):
+        with pytest.raises(ConfigError, match="kind_policy"):
+            RunConfig(kind_policy=bad).validate()
+    RunConfig(combo_weights={"audio": 1}, kind_policy={"flip": 0.5, "repeat": 0.5}).validate()
     with pytest.raises(ConfigError):
         RunConfig(epochs=0).validate()
