@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .avdata import AVPair, SynthConfig, iter_pairs
-from .detector import load_checkpoint, must_fit
+from .detector import Detector, load_checkpoint, must_fit
 from .errors import ConfigError, MetricError
 from .pseudofake import KINDS, ChunkParams
 from .rng import derive_seed
@@ -281,6 +281,11 @@ def ablation_run(
     mean AUC on both synthetic eval splits."""
     defaults = default_axis_values(base_cfg, axis)
     variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
+    for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training
+        s = variant.synth
+        with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):
+            Detector(variant.detector, seed=0).infer(
+                np.zeros((1, s.t_v, s.c_v, s.h, s.w), np.float32), np.zeros((1, s.t_a), np.float32))
     table = AblationTable(axis=axis, seeds=list(seeds))
     for value, variant in variants:
         per_seed = {"in_distribution": [], "fine_grained": []}

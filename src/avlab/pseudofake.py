@@ -192,7 +192,8 @@ def sample_manipulation(
     """
     check_weights("kind_policy", kind_policy, KINDS)
     kinds = sorted(kind_policy)
-    kind = kinds[int(rng.choice(len(kinds), p=[kind_policy[k] for k in kinds]))]
+    p = np.array([kind_policy[k] for k in kinds], dtype=np.float64)
+    kind = kinds[int(rng.choice(len(kinds), p=p / p.sum()))]  # rng.choice wants the sum within ~1e-8
     i, l = sample_chunk(T, cp, rng)
     param = None
     direction = None

@@ -8,6 +8,9 @@ the table and the acceptance tests pin thresholds to it.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -48,12 +51,18 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
+@functools.lru_cache(maxsize=128)
+def _probe_pattern(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    pattern = (np.cos(np.arange(math.prod(shape)) * 0.7) + 1.5).reshape(shape).astype(dtype)
+    pattern.flags.writeable = False
+    return pattern
+
+
 def probe_sum(out: Tensor) -> Tensor:
     """Deterministic strictly-positive functional of ``out``; keeps the
-    scalar loss sensitive to every output element."""
-    n = out.data.size
-    pattern = (np.cos(np.arange(n) * 0.7) + 1.5).reshape(out.data.shape)
-    return T.tsum(T.mul(out, Tensor(pattern.astype(out.data.dtype))))
+    scalar loss sensitive to every output element.  The pattern is cached
+    read-only per (shape, dtype)."""
+    return T.tsum(T.mul(out, Tensor(_probe_pattern(out.data.shape, out.data.dtype))))
 
 
 def check_op(build, inputs: list[np.ndarray]) -> float:

@@ -29,8 +29,8 @@ reaches every output frame goes first as a copy.  With kt = 1, and for
 conv1d, every axis is a trailing one and the GEMM result is the output.
 An optional (O,) ``bias`` is added in place in the same tape node.  Each
 call's geometry (output sizes, padded shape, index tuples, tap slices,
-permutations and the byte strides of the ``as_strided`` view) is planned
-once per (shapes, stride, padding, itemsize) and cached.
+permutations and the byte strides of the column view) is planned once
+per (shapes, stride, padding, itemsize) and cached.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError
 
@@ -223,11 +222,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     if _KINK_TRACKER is not None:
         _KINK_TRACKER.note(float(np.abs(x.data).min()))
-    mask = x.data > 0
-    data = x.data * mask
+    data = np.maximum(x.data, 0)
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * (data > 0))
 
     return _node(data, (x,), backward)
 
@@ -314,10 +312,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     data = x.data.transpose(axes)
-    inv = np.argsort(axes)
 
     def backward(g):
-        _accum(x, g.transpose(inv))
+        _accum(x, g.transpose(np.argsort(axes)))
 
     return _node(data, (x,), backward)
 
@@ -364,7 +361,7 @@ class _ConvPlan(NamedTuple):
     inner: tuple  # where the input sits in xp, channel axis left open
     to_last: tuple  # (B, C, *S) -> (B, *S, C)
     to_first: tuple  # the inverse permutation
-    cols_shape: tuple  # as_strided view of xp: (B, *lead rows, *trail So, *trail taps, C)
+    cols_shape: tuple  # strided view of xp: (B, *lead rows, *trail So, *trail taps, C)
     cols_strides: tuple
     gemm: tuple  # (K, N): K = trail taps * C, N = lead taps * O
     w_axes: tuple  # (O, C, *ks) -> (*trail taps, C, *lead taps, O), the (K, N) GEMM operand
@@ -447,7 +444,8 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
     else:  # per channel: one transposed copy would walk C-value runs, 2.5x slower at C=3
         for c in range(C):
             xp[(*p.inner, c)] = x.data[:, c]
-    cols = as_strided(xp, p.cols_shape, p.cols_strides).reshape(-1, p.gemm[0])
+    # a strided view that numpy checks against xp's size, unlike as_strided
+    cols = np.ndarray(p.cols_shape, dtype, buffer=xp, offset=0, strides=p.cols_strides).reshape(-1, p.gemm[0])
     wt = w.data.transpose(p.w_axes)
     wmat = wt.reshape(p.gemm)
     out = y = (cols @ wmat).reshape(p.y_shape)
@@ -503,27 +501,36 @@ def _pool_bins(n: int, bins: int) -> list[tuple[int, int]]:
     return [((k * n) // bins, -((-(k + 1) * n) // bins)) for k in range(bins)]
 
 
-def _avg_pool_axis(x: Tensor, axis: int, bins: int) -> Tensor:
-    n = x.data.shape[axis]
+@functools.lru_cache(maxsize=128)
+def _pool_matrix(n: int, bins: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (n, bins) averaging matrix: column k holds 1 / len over bin k's span."""
     if bins < 1:
         raise ShapeError(f"adaptive pool needs >= 1 output bin, got {bins}")
     if bins > n:
         raise ShapeError(f"adaptive pool cannot upsample: {bins} bins for length {n}")
-    spans = _pool_bins(n, bins)
-    pieces = [
-        x.data.take(np.arange(s, e), axis=axis).mean(axis=axis, keepdims=True) for s, e in spans
-    ]
-    data = np.concatenate(pieces, axis=axis)
+    m = np.zeros((n, bins), dtype=dtype)
+    for k, (s, e) in enumerate(_pool_bins(n, bins)):
+        m[s:e, k] = 1.0 / (e - s)
+    m.flags.writeable = False
+    return m
 
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        src = [slice(None)] * x.data.ndim
-        dst = [slice(None)] * x.data.ndim
-        for k, (s, e) in enumerate(spans):
-            dst[axis] = slice(k, k + 1)
-            src[axis] = slice(s, e)
-            gx[tuple(src)] += g[tuple(dst)] / (e - s)
-        _accum(x, gx)
+
+def _contract(a: np.ndarray, steps) -> np.ndarray:
+    # per (axis, m): the axis swapped to the end for one matmul with m, and back
+    for axis, m in steps:
+        a = (a.swapaxes(-1, axis) @ m).swapaxes(-1, axis)
+    return a
+
+
+def _adaptive_avg_pool(x: Tensor, bins: tuple[int, ...]) -> Tensor:
+    # one tape node over the last len(bins) axes: the last axis is contracted first,
+    # so a spatial axis pooled to one bin shrinks the data before the time axis
+    mats = [_pool_matrix(n, b, x.data.dtype) for n, b in zip(x.data.shape[-len(bins):], bins)]
+    steps = list(zip(range(-len(bins), 0), mats))[::-1]
+    data = _contract(x.data, steps)
+
+    def backward(g):  # the transposes in reverse order: the small gradient grows last
+        _accum(x, _contract(g, [(axis, m.T) for axis, m in reversed(steps)]))
 
     return _node(data, (x,), backward)
 
@@ -531,19 +538,18 @@ def _avg_pool_axis(x: Tensor, axis: int, bins: int) -> Tensor:
 def adaptive_avg_pool3d(x: Tensor, out_shape: tuple[int, int, int]) -> Tensor:
     """Adaptive average pooling of (B, C, T, H, W) to (B, C, *out_shape).
 
-    Each axis is partitioned into near-equal bins independently, so the
-    pooled value of a cell is the exact mean over its box.
+    Each axis is partitioned into near-equal bins independently, and
+    pooled by a matmul with a cached (n, bins) averaging matrix whose
+    column k holds 1 / len over bin k's span, so a cell is the mean over
+    its box up to rounding.  The backward pass applies the transposes.
     """
     if x.data.ndim != 5:
         raise ShapeError(f"adaptive_avg_pool3d expects 5-d input, got {x.shape}")
-    out = x
-    for axis, bins in zip((2, 3, 4), out_shape):
-        out = _avg_pool_axis(out, axis, bins)
-    return out
+    return _adaptive_avg_pool(x, tuple(out_shape))
 
 
 def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
-    """Adaptive average pooling of (B, C, L) to (B, C, out_len)."""
+    """Adaptive average pooling of (B, C, L) to (B, C, out_len), as one averaging matmul."""
     if x.data.ndim != 3:
         raise ShapeError(f"adaptive_avg_pool1d expects 3-d input, got {x.shape}")
-    return _avg_pool_axis(x, 2, out_len)
+    return _adaptive_avg_pool(x, (out_len,))

@@ -322,6 +322,27 @@ def test_synth_rejects_unknown_kind_in_policy(tiny_config_file, tmp_path, capsys
     assert not list(out.rglob("pair-*.avtc"))
 
 
+def test_train_with_kind_weights_summing_near_one(tiny_config_file, tmp_path):
+    policy = 'kind_policy={"replace": 0.5, "flip": 0.5000005}'
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file), "--set", policy, "--out", str(run_dir)]) == 0
+    assert (run_dir / "checkpoint.avtc").exists()
+
+
+def test_ablate_rejects_a_value_the_clips_do_not_fit(tiny_config_file, tmp_path, monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    out = tmp_path / "ablation"
+    rc = main([
+        "ablate", "--config", str(tiny_config_file), "--axis", "t_prime", "--values", "[2, 16]", "--seeds", "[0]",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert "detector does not fit t_prime value 16 on clips of 8 frames" in capsys.readouterr().err
+    assert trained == []
+    assert not list(out.glob("ablation_*"))
+
+
 def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_path, capsys):
     checkpoint = tmp_path / "checkpoint.avtc"
     save_checkpoint(checkpoint, Detector(DetectorConfig(**TINY_CONFIG["detector"]), seed=0))

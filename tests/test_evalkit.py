@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from avlab import avdata
+from avlab import avdata, evalkit
 from avlab.avdata import SynthConfig
 from avlab.detector import Detector, DetectorConfig
 from avlab.errors import ConfigError, MetricError
@@ -274,6 +274,14 @@ def test_ablation_table_structure_t_prime():
         assert len(row["per_seed_in_distribution"]) == 1
     text = table.to_text()
     assert "t_prime" in text and len(text.splitlines()) == 4
+
+
+def test_ablation_checks_every_variant_fits_before_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    with pytest.raises(ConfigError, match=r"does not fit t_prime value 16 on clips of 8 frames: adaptive pool"):
+        ablation_run(tiny_run_config(), "t_prime", values=[2, 16], seeds=(0,))
+    assert trained == []
 
 
 def test_ablation_attention_axis_two_rows():

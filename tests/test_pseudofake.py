@@ -214,6 +214,14 @@ def test_sample_manipulation_replace_only_policy():
         assert spec.param is None
 
 
+def test_sample_manipulation_accepts_weights_the_rule_admits():
+    # sum off by 5e-7: inside check_weights' 1e-6, outside what rng.choice takes raw
+    policy = {"replace": 0.5, "flip": 0.5000005}
+    rng = substream(6, "near-one")
+    kinds = {sample_manipulation(policy, 30, ChunkParams(), rng).kind for _ in range(200)}
+    assert kinds == {"replace", "flip"}
+
+
 def test_sample_manipulation_param_degenerate():
     rng = substream(7, "l2")
     cp = ChunkParams(r_min=1.0, r_max=1.0)

@@ -1,5 +1,6 @@
 """Autodiff stack: hand-computable values, gradient checks, Adam behavior."""
 
+import math
 import warnings
 
 import numpy as np
@@ -41,6 +42,105 @@ def test_adaptive_pool_constant_and_means():
     spans = [(0, 3), (2, 5), (5, 8), (7, 10)]
     expected = [v[0, 0, s:e].mean() for s, e in spans]
     assert np.allclose(out.data.reshape(-1), expected)
+
+
+def _pool_boxes(lengths, bins):
+    """(output cell, input box) index pairs over the trailing axes, one bin span per axis."""
+    spans = [[((k * n) // b, -((-(k + 1) * n) // b)) for k in range(b)] for n, b in zip(lengths, bins)]
+    for cell in np.ndindex(*bins):
+        yield (Ellipsis, *cell), (Ellipsis, *(slice(*spans[i][k]) for i, k in enumerate(cell)))
+
+
+def _naive_pool(x, bins):
+    """Per-box mean over the trailing axes."""
+    axes = tuple(range(-len(bins), 0))
+    out = np.empty(x.shape[:-len(bins)] + tuple(bins))
+    for cell, box in _pool_boxes(x.shape[-len(bins):], bins):
+        out[cell] = x[box].mean(axis=axes)
+    return out
+
+
+def _naive_pool_grad(x_shape, bins, g):
+    """Input gradient of sum(g * pool(x)): each cell's g / box size over its box."""
+    gx = np.zeros(x_shape)
+    for cell, box in _pool_boxes(x_shape[-len(bins):], bins):
+        region = gx[box]
+        region += np.expand_dims(g[cell], tuple(range(-len(bins), 0))) / math.prod(region.shape[-len(bins):])
+    return gx
+
+
+POOL_CASES = {
+    "1d_11_to_4": ((2, 3, 11), (4,)),
+    "1d_25_to_8": ((2, 3, 25), (8,)),
+    "1d_7_to_3": ((2, 2, 7), (3,)),
+    "1d_bins_equal_n": ((2, 3, 6), (6,)),
+    "1d_one_bin": ((2, 3, 9), (1,)),
+    "3d_uneven": ((2, 3, 11, 7, 25), (4, 3, 8)),
+    "3d_like_detector": ((2, 4, 8, 3, 3), (8, 1, 1)),
+    "3d_bins_equal_n": ((1, 2, 4, 3, 2), (4, 3, 2)),
+    "3d_one_bin": ((1, 2, 5, 4, 3), (1, 1, 1)),
+}
+POOL_TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_adaptive_pool_matches_naive_bin_means(case, layout):
+    # uneven and overlapping bins, bins == n and one bin, on a contiguous input and
+    # on a channels-last view like a conv's output; forward and input gradient
+    x_shape, bins = POOL_CASES[case]
+    rng = substream(13, "pool-reference", case)
+    x64 = rng.standard_normal(x_shape)
+    g64 = rng.standard_normal(x_shape[:2] + bins)
+    pool = tn.adaptive_avg_pool3d if len(bins) == 3 else (lambda x, b: tn.adaptive_avg_pool1d(x, b[0]))
+    for dtype in (np.float64, np.float32):
+        x, g = x64.astype(dtype), g64.astype(dtype)
+        if layout == "channels_last":
+            x = _channels_last_view(x)
+        xt = Tensor(x, requires_grad=True)
+        out = pool(xt, bins)
+        tn.tsum(tn.mul(out, Tensor(g))).backward()
+        ref = _naive_pool(x.astype(np.float64), bins)
+        ref_gx = _naive_pool_grad(x_shape, bins, g.astype(np.float64))
+        for got, want in ((out.data, ref), (xt.grad, ref_gx)):
+            assert got.shape == want.shape and got.dtype == dtype
+            assert np.abs(got - want).max() <= POOL_TOL[dtype] * np.abs(want).max()
+
+
+def test_adaptive_pool_one_tape_node_and_read_only_matrices():
+    x = Tensor(np.ones((1, 2, 7, 3, 3)), requires_grad=True)
+    out = tn.adaptive_avg_pool3d(x, (3, 1, 1))
+    assert out._parents == (x,)
+    m = tn._pool_matrix(7, 3, np.dtype(np.float64))
+    assert not m.flags.writeable
+    assert m is tn._pool_matrix(7, 3, np.dtype(np.float64))
+    assert np.array_equal(m.sum(axis=0), np.ones(3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relu_matches_masked_product(dtype):
+    rng = substream(14, "relu")
+    a = rng.standard_normal((3, 4, 5)).astype(dtype)
+    a[0, 0, :3] = (0.0, -0.0, np.nan)
+    g = rng.standard_normal(a.shape).astype(dtype)
+    x = Tensor(a, requires_grad=True)
+    out = tn.relu(x)
+    tn.tsum(tn.mul(out, Tensor(g))).backward()
+    mask = a > 0
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, a * mask, equal_nan=True)
+    assert np.array_equal(x.grad, g * mask)
+
+
+def test_probe_pattern_cached_read_only_and_unchanged():
+    for shape, dtype in (((2, 3, 4), np.float64), ((5,), np.float32)):
+        out = Tensor(np.ones(shape, dtype))
+        pattern = gradcheck._probe_pattern(shape, np.dtype(dtype))
+        old = (np.cos(np.arange(int(np.prod(shape))) * 0.7) + 1.5).reshape(shape).astype(dtype)
+        assert not pattern.flags.writeable
+        assert pattern.dtype == dtype and pattern.tobytes() == old.tobytes()
+        assert gradcheck._probe_pattern(shape, np.dtype(dtype)) is pattern
+        assert gradcheck.probe_sum(out).data == old.sum(dtype=dtype)
 
 
 def test_softmax_basics():
