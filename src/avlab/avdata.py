@@ -113,6 +113,10 @@ class AVPair:
             raise ConfigError(f"label must be one of {LABELS}, got {self.label!r}")
         self.visual.validate()
         self.audio.validate()
+        for spec in self.meta.visual_manipulations:
+            spec.validate(self.visual.t)
+        for spec in self.meta.audio_manipulations:
+            spec.validate(self.audio.t)
         if not self.label_consistent():
             raise ConfigError(
                 f"label {self.label!r} inconsistent with origin {self.meta.origin!r} "

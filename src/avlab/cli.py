@@ -91,7 +91,12 @@ def _load_dir(path: Path) -> list[avdata.AVPair]:
     files = sorted(path.glob("pair-*.avtc"))
     if not files:
         raise ConfigError(f"no pair-*.avtc files under {path}")
-    return [avdata.load_pair(f) for f in files]
+    pairs = [avdata.load_pair(f) for f in files]
+    shapes = [(p.visual.data.shape, p.audio.data.shape) for p in pairs]
+    for f, shape in zip(files, shapes):
+        if shape != shapes[0]:
+            raise ConfigError(f"{f}: visual and audio shapes {shape} differ from {files[0].name}'s {shapes[0]}")
+    return pairs
 
 
 def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):
@@ -204,13 +209,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="avlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file (RunConfig schema)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override, repeatable")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset of container files")
     common(p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -40,12 +41,13 @@ def decode(cls: type[T], data, what: str = "config", path: str = "") -> T:
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
     An ``int`` field takes an int but not a bool; a ``float`` field takes
-    an int or a float and keeps it as given; ``bool``, ``str``, ``dict``
-    and ``list`` fields take only that type, and ``X | None`` also takes
-    null.  A dataclass field takes an instance of its type or a JSON
-    object, decoded recursively.  A non-object, an unknown key, a missing
-    key without a default or a wrong-typed value raises ConfigError naming
-    the document ``what`` and the dotted key path below ``path``.
+    an int or a finite float and keeps it as given; ``bool``, ``str``,
+    ``dict`` and ``list`` fields take only that type, and ``X | None``
+    also takes null.  A dataclass field takes an instance of its type or a
+    JSON object, decoded recursively.  A non-object, an unknown key, a
+    missing key without a default or a wrong-typed or non-finite value
+    raises ConfigError naming the document ``what`` and the dotted key
+    path below ``path``.
     """
     if not isinstance(data, dict):
         where = f" key {path}" if path else ""
@@ -61,6 +63,8 @@ def decode(cls: type[T], data, what: str = "config", path: str = "") -> T:
                 raise ConfigError(f"{what} is missing key {prefix}{name}")
             continue
         value = data[name]
+        if tp is float and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} key {prefix}{name} must be a finite float, got {value!r}")
         if value is None and nullable or _accepts(tp, value):
             kwargs[name] = value
         elif dataclasses.is_dataclass(tp):

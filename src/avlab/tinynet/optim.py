@@ -2,7 +2,8 @@
 
 The decay term is added to the raw gradient before the moment updates,
 matching the original Adam formulation rather than the decoupled
-variant.
+variant.  Adam owns the parameters' storage: ``flat`` holds them all,
+and each tensor's ``.data`` is re-pointed at its view of it.
 """
 
 from __future__ import annotations
@@ -21,32 +22,30 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self._v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self.flat = np.concatenate([t.data.ravel() for _, t in self.params])
+        ends = np.cumsum([t.data.size for _, t in self.params])
+        for (_, t), view in zip(self.params, np.split(self.flat, ends[:-1])):
+            t.data = view.reshape(t.data.shape)
+        self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         for _, t in self.params:
             t.grad = None
 
     def step(self) -> None:
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
         for name, p in self.params:
             if p.grad is None:
-                continue
+                raise ValueError(f"no gradient for {name}")
             if p.grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name}")
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1**self.step_count
+        bc2 = 1.0 - self.beta2**self.step_count
+        g = np.concatenate([p.grad.ravel() for _, p in self.params])
+        if self.weight_decay:
+            g = g + self.weight_decay * self.flat
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * g * g
+        self.flat -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)

@@ -220,7 +220,7 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
 
     best_loss = math.inf
     best_epoch = -1
-    best_state: dict[str, np.ndarray] = {}
+    best = opt.flat.copy()
     metrics: list[dict] = []
     rejections = 0
 
@@ -268,10 +268,9 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_epoch = epoch
-            best_state = {name: t.data.copy() for name, t in model.params()}
+            best = opt.flat.copy()
 
-    for name, t in model.params():
-        t.data = best_state[name]
+    opt.flat[...] = best
 
     result = TrainResult(
         model=model,

@@ -18,7 +18,7 @@ from avlab.avdata import (
     synth_real_pair,
 )
 from avlab.errors import ConfigError
-from avlab.pseudofake import ChunkParams
+from avlab.pseudofake import ChunkParams, ManipulationSpec
 from avlab.rng import substream
 
 
@@ -167,6 +167,21 @@ def test_load_pair_validates_stored_pair(tmp_path):
     save_pair(path, pair)
     with pytest.raises(ConfigError, match="pair.avtc: visual samples must be finite and in"):
         load_pair(path)
+
+
+@pytest.mark.parametrize("key", ["visual_manipulations", "audio_manipulations"])
+def test_load_pair_validates_manipulation_records(tmp_path, key):
+    pair = synth_fake_pair(SynthConfig(), "local_desync", substream(72, "io"))
+    t = getattr(pair, key.split("_")[0]).t
+    path = tmp_path / "pair.avtc"
+    for spec, message in [
+        (ManipulationSpec(kind="bogus", i=-5, l=99), "unknown manipulation kind 'bogus'"),
+        (ManipulationSpec(kind="replace", i=t - 1, l=2), rf"chunk \[{t - 1}, {t + 1}\) exceeds length {t}"),
+    ]:
+        setattr(pair.meta, key, [spec])
+        save_pair(path, pair)
+        with pytest.raises(ConfigError, match="pair.avtc: " + message):
+            load_pair(path)
 
 
 @pytest.mark.parametrize("key", ["visual_manipulations", "audio_manipulations"])

@@ -414,6 +414,21 @@ def test_eval_names_file_and_parameter_of_bad_tensor(tiny_config_file, tmp_path,
     assert "'fc2.bias'" in err
 
 
+@pytest.mark.parametrize("command", ["train", "augment"])
+def test_data_dir_with_mixed_shapes_names_the_file(tiny_config_file, tmp_path, capsys, command):
+    data_dir = tmp_path / "data"
+    main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)])
+    synth = avdata.SynthConfig(**{**TINY_CONFIG["synth"], "h": 16, "w": 16})
+    avdata.save_pair(data_dir / "train" / "pair-00003.avtc", avdata.synth_real_pair(synth, np.random.default_rng(0)))
+    out = tmp_path / "run"
+    data = data_dir if command == "train" else data_dir / "train"
+    assert main([command, "--config", str(tiny_config_file), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "pair-00003.avtc: visual and audio shapes ((8, 1, 16, 16), (320,))" in err
+    assert "differ from pair-00000.avtc's ((8, 1, 12, 12), (320,))" in err
+    assert not (out / "checkpoint.avtc").exists() and not list(out.glob("pair-*.avtc"))
+
+
 @pytest.mark.parametrize(
     "overrides, config, key",
     [
@@ -425,10 +440,14 @@ def test_eval_names_file_and_parameter_of_bad_tensor(tiny_config_file, tmp_path,
         ([], {**TINY_CONFIG, "eval_data": {"n": 8, "fine_chunk": {"r_mn": 0.3}}}, "eval_data.fine_chunk.r_mn"),
         (['kind_policy={"replace": "x"}'], TINY_CONFIG, "kind_policy must map names among"),
         (['combo_weights={"audio": "x"}'], TINY_CONFIG, "combo_weights must map names among"),
+        (["lr=NaN"], TINY_CONFIG, "key lr must be a finite float, got nan"),
+        (["weight_decay=Infinity"], TINY_CONFIG, "key weight_decay must be a finite float, got inf"),
+        (["synth.noise_std=NaN"], TINY_CONFIG, "key synth.noise_std must be a finite float"),
+        (["synth.envelope_bandwidth=Infinity"], TINY_CONFIG, "key synth.envelope_bandwidth must be a finite float"),
     ],
     ids=[
         "float_epochs", "str_t_prime", "str_r_min", "str_seed", "block_without_kernel", "unknown_nested_key",
-        "str_kind_weight", "str_combo_weight",
+        "str_kind_weight", "str_combo_weight", "nan_lr", "inf_weight_decay", "nan_noise_std", "inf_bandwidth",
     ],
 )
 def test_train_rejects_malformed_config(tmp_path, capsys, overrides, config, key):

@@ -1,5 +1,7 @@
 """The config decoder: type rules, key paths and pass-through of valid values."""
 
+import math
+
 import pytest
 
 from avlab.errors import ConfigError
@@ -33,6 +35,10 @@ def test_decode_keeps_valid_values_as_given():
         ({"detector": {"audio_blocks": {}}}, "config key detector.audio_blocks must be list, got dict"),
         ({"eval_data": {"fine_chunk": 0.5}}, "config key eval_data.fine_chunk must be a JSON object"),
         ({"eval_data": {"fine_chunk": {"r_mid": 0.5}}}, "config has unknown key eval_data.fine_chunk.r_mid"),
+        ({"lr": math.nan}, "config key lr must be a finite float, got nan"),
+        ({"weight_decay": math.inf}, "config key weight_decay must be a finite float, got inf"),
+        ({"synth": {"envelope_bandwidth": -math.inf}}, "config key synth.envelope_bandwidth must be a finite float"),
+        ({"eval_data": {"fine_chunk": {"r_max": math.nan}}}, "config key eval_data.fine_chunk.r_max must be a finite"),
     ],
 )
 def test_decode_rejects_malformed_config(data, message):

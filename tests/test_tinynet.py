@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avlab.detector import Detector, tiny_config
 from avlab.errors import ShapeError
 from avlab.rng import substream
 from avlab.tinynet import Adam, Conv3d, gradcheck
@@ -206,6 +207,56 @@ def test_adam_minimizes_quadratic():
         p.grad = 2.0 * p.data
         opt.step()
     assert abs(float(p.data[0])) < 0.5
+
+
+def _reference_adam_step(state, params, t, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    # per-tensor Adam as in Kingma & Ba 2015, with coupled L2 decay
+    for name, p in params:
+        m, v = state.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        g = p.grad + wd * p.data
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.data = p.data - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
+
+def test_adam_owns_parameters_in_one_buffer():
+    model = Detector(tiny_config(), seed=3)
+    before = {name: t.data.copy() for name, t in model.params()}
+    opt = Adam(model.params())
+    assert opt.flat.size == sum(t.data.size for _, t in model.params())
+    for name, t in model.params():
+        assert np.shares_memory(t.data, opt.flat), name
+        assert np.array_equal(t.data, before[name]), name
+
+
+def test_adam_steps_match_per_tensor_reference_bitwise():
+    model, ref = Detector(tiny_config(), seed=4), Detector(tiny_config(), seed=4)
+    opt = Adam(model.params(), lr=1e-2, weight_decay=1e-3)
+    rng = substream(9, "adam-ref")
+    state: dict = {}
+    for t in range(1, 6):
+        for (_, p), (_, q) in zip(model.params(), ref.params()):
+            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
+            q.grad = p.grad.copy()
+        opt.step()
+        _reference_adam_step(state, ref.params(), t, lr=1e-2, wd=1e-3)
+        for (name, p), (_, q) in zip(model.params(), ref.params()):
+            assert p.data.dtype == np.float32 and p.data.tobytes() == q.data.tobytes(), (t, name)
+
+
+def test_adam_rejects_missing_or_misshapen_gradient():
+    a = Tensor(np.zeros(3, np.float32), requires_grad=True)
+    b = Tensor(np.zeros((2, 2), np.float32), requires_grad=True)
+    opt = Adam([("a", a), ("b", b)])
+    a.grad = np.ones(3, np.float32)
+    with pytest.raises(ValueError, match="no gradient for b"):
+        opt.step()
+    b.grad = np.ones(4, np.float32)
+    with pytest.raises(ValueError, match=r"gradient shape \(4,\) != param shape \(2, 2\) for b"):
+        opt.step()
+    assert opt.step_count == 0 and not opt.flat.any()
 
 
 def test_layer_init_deterministic():

@@ -169,6 +169,18 @@ def test_train_checkpoint_argmin_ties_earliest():
     assert result.best_epoch == 1
 
 
+def test_train_restores_best_epoch_bitwise():
+    # shuffle and augmentation substreams depend only on (seed, epoch), so the
+    # first b epochs of a longer run are the b-epoch run
+    cfg = tiny_run_config(lr=0.05, epochs=3)
+    longer = train(cfg, tiny_train_set(cfg))
+    assert longer.best_epoch == 2 < cfg.epochs
+    shorter = train(tiny_run_config(lr=0.05, epochs=2), tiny_train_set(cfg))
+    assert shorter.best_loss == longer.best_loss
+    for (n1, t1), (n2, t2) in zip(longer.model.params(), shorter.model.params()):
+        assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes(), n1
+
+
 def test_train_validates_inputs():
     cfg = tiny_run_config()
     with pytest.raises(ConfigError):
