@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import container
-from .errors import ConfigError
+from .errors import ChunkRejected, ConfigError
 from .pseudofake import ChunkParams, ManipulationSpec, apply_manipulation, sample_chunk
 from .rng import substream
 
@@ -158,6 +158,8 @@ class SynthConfig:
             raise ConfigError(f"noise_std and envelope_bandwidth must be >= 0, got {self}")
         if self.fake_audio_artifact < 0:
             raise ConfigError(f"fake_audio_artifact must be >= 0, got {self}")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be >= 0, got {self.seed}")
 
     @property
     def samples_per_frame(self) -> int:
@@ -262,7 +264,10 @@ def synth_fake_pair(
         artifact = cfg.fake_audio_artifact
     else:
         modality = ("visual", "audio")[int(rng.integers(0, 2))]
-        i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
+        try:
+            i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
+        except ChunkRejected as exc:  # no local fake fits clips this short: a config fault
+            raise ConfigError(f"local_desync fakes of {cfg.t_v} frames: {exc}") from exc
         donor_env = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
         env[modality] = base.env.copy()
         env[modality][i : i + l] = donor_env[i : i + l]

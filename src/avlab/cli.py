@@ -188,6 +188,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--values must be a JSON list, got {args.values}")
     if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
         raise ConfigError(f"--seeds must be a nonempty JSON list of ints, got {args.seeds}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be >= 0, got {args.seeds}")
     cfg, out = _prologue(args)
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=tuple(seeds))
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")

@@ -47,8 +47,17 @@ def numerical_grad(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return math.inf  # so a NaN gradient never passes
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-6)
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
+
+
+def max_grad_error(loss, tensors: list[Tensor], h: float = FD_STEP) -> float:
+    """Max relative error between each tensor's backprop ``.grad`` and the central
+    differences over its ``.data`` of ``loss() -> Tensor``, a deterministic scalar."""
+    loss().backward()
+    return max(rel_error(t.grad, numerical_grad(lambda: float(loss().data), t.data, h)) for t in tensors)
 
 
 @functools.lru_cache(maxsize=128)
@@ -73,13 +82,7 @@ def check_op(build, inputs: list[np.ndarray]) -> float:
     leaves.
     """
     leaves = [Tensor(arr, requires_grad=True) for arr in inputs]
-    loss = build(leaves)
-    loss.backward()
-    worst = 0.0
-    for leaf, arr in zip(leaves, inputs):
-        num = numerical_grad(lambda: float(build([Tensor(a) for a in inputs]).data), arr)
-        worst = max(worst, rel_error(leaf.grad, num))
-    return worst
+    return max_grad_error(lambda: build(leaves), leaves)
 
 
 def _away_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
@@ -89,16 +92,16 @@ def _away_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
 
 def run_suite(seed: int = 0, instances: int = 20, include_model: bool = True) -> dict[str, float]:
     """Finite-difference check of every op; returns {op: max rel err}."""
+    from .. import detector
+
     if instances < 1:
         raise ConfigError(f"gradcheck needs instances >= 1, got {instances}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck needs seed >= 0, got {seed}")
     results: dict[str, float] = {}
 
     def record(name, err):
         results[name] = max(results.get(name, 0.0), err)
-
-    def l2_distance(ts):
-        d = T.sub(ts[0], ts[1])
-        return probe_sum(T.sqrt(T.tsum(T.mul(d, d), axis=2)))
 
     for inst in range(instances):
         rng = substream(seed, "gradcheck", inst)
@@ -141,32 +144,32 @@ def run_suite(seed: int = 0, instances: int = 20, include_model: bool = True) ->
             [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]))
 
         record("l2_distance", check_op(
-            l2_distance, [rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 3))]))
+            lambda ts: probe_sum(detector.distance_map(*ts)),
+            [rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 3))]))
 
         y = (rng.uniform(size=(6,)) < 0.5).astype(np.float64)
         record("bce_loss", check_op(
             lambda ts: T.bce_loss(ts[0], y), [rng.uniform(0.1, 0.9, size=(6,))]))
 
     if include_model:
-        from .. import detector
-
         for inst in range(instances):
             record("detector_full", detector.full_model_gradcheck(seed=seed, instance=inst))
     return results
+
+
+def _tolerance(name: str) -> float:
+    return MODEL_TOLERANCE if name == "detector_full" else OPS_TOLERANCE
 
 
 def format_report(results: dict[str, float]) -> str:
     width = max(len(k) for k in results)
     lines = []
     for name in sorted(results):
-        tol = MODEL_TOLERANCE if name == "detector_full" else OPS_TOLERANCE
+        tol = _tolerance(name)
         status = "ok" if results[name] < tol else "FAIL"
         lines.append(f"{name:<{width}}  max rel err {results[name]:.3e}  (tol {tol:.0e})  {status}")
     return "\n".join(lines)
 
 
 def suite_passed(results: dict[str, float]) -> bool:
-    return all(
-        err < (MODEL_TOLERANCE if name == "detector_full" else OPS_TOLERANCE)
-        for name, err in results.items()
-    )
+    return all(err < _tolerance(name) for name, err in results.items())

@@ -64,7 +64,7 @@ class Linear:
         self.bias = Tensor(_bias_uniform(n_out, n_in, rng, dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), T.reshape(self.bias, (1, -1)))
+        return T.add(T.matmul(x, self.weight), self.bias)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -67,31 +67,23 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-# Finite differences are only valid where the graph is smooth.  When a
-# KinkTracker is installed, the non-smooth ops (relu, sqrt, clip) record
-# how close their arguments come to the kink so a checker can reject
-# probe points that sit inside its step size.
-_KINK_TRACKER = None
-
-
-class KinkTracker:
-    def __init__(self):
-        self.min_distance = float("inf")
-
-    def note(self, distance: float) -> None:
-        if distance < self.min_distance:
-            self.min_distance = distance
+# Finite differences are only valid where the graph is smooth.  Inside
+# ``track_kinks()`` the non-smooth ops (relu, sqrt, clip) append how close
+# their arguments come to the kink to the yielded list, so a checker can
+# reject probe points that sit inside its step size.
+_KINKS: list[float] | None = None
 
 
 @contextmanager
-def track_kinks(tracker: KinkTracker):
-    global _KINK_TRACKER
-    previous = _KINK_TRACKER
-    _KINK_TRACKER = tracker
+def track_kinks():
+    """Yield a fresh list for kink distances; nests, and restores the previous list on exit."""
+    global _KINKS
+    previous = _KINKS
+    _KINKS = []
     try:
-        yield tracker
+        yield _KINKS
     finally:
-        _KINK_TRACKER = previous
+        _KINKS = previous
 
 
 class Tensor:
@@ -220,8 +212,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    if _KINK_TRACKER is not None:
-        _KINK_TRACKER.note(float(np.abs(x.data).min()))
+    if _KINKS is not None:
+        _KINKS.append(float(np.abs(x.data).min()))
     data = np.maximum(x.data, 0)
 
     def backward(g):
@@ -260,8 +252,8 @@ def log(x: Tensor) -> Tensor:
 
 
 def sqrt(x: Tensor) -> Tensor:
-    if _KINK_TRACKER is not None:
-        _KINK_TRACKER.note(float(np.abs(x.data).min()))
+    if _KINKS is not None:
+        _KINKS.append(float(np.abs(x.data).min()))
     r = np.sqrt(x.data)
 
     def backward(g):
@@ -272,9 +264,8 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    if _KINK_TRACKER is not None:
-        _KINK_TRACKER.note(float(np.abs(x.data - lo).min()))
-        _KINK_TRACKER.note(float(np.abs(x.data - hi).min()))
+    if _KINKS is not None:
+        _KINKS.extend((float(np.abs(x.data - lo).min()), float(np.abs(x.data - hi).min())))
     data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
 

@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError(f"lr and weight_decay must be >= 0, got {self.lr}, {self.weight_decay}")
         if not (0.0 <= self.pseudo_fake_prob <= 1.0):
             raise ConfigError(f"pseudo_fake_prob must lie in [0, 1], got {self.pseudo_fake_prob}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_weights("combo_weights", self.combo_weights, COMBOS)
         check_weights("kind_policy", self.kind_policy, KINDS)
         self.chunk.validate()

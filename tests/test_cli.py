@@ -492,6 +492,57 @@ def test_gradcheck_rejects_fewer_than_one_instance(capsys, instances):
     assert "instances >= 1" in capsys.readouterr().err
 
 
+# an even time kernel pads the residual branch to 6 frames; the stride-2 shortcut keeps 4
+EVEN_KERNEL_RES_BLOCKS = [
+    {"type": "conv", "out": 4, "kernel": [3, 3, 3], "stride": [1, 2, 2]},
+    {"type": "res", "out": 8, "kernel": [2, 3, 3], "stride": [2, 2, 2]},
+]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_residual_branch_unlike_its_shortcut_exits_one(tiny_config_file, tmp_path, capsys, command):
+    argv = [command, "--config", str(tiny_config_file), "--out", str(tmp_path / "run"),
+            "--set", f"detector.visual_blocks={json.dumps(EVEN_KERNEL_RES_BLOCKS)}"]
+    if command == "eval":
+        path = tmp_path / "checkpoint.avtc"
+        save_checkpoint(path, Detector(DetectorConfig(**{**TINY_CONFIG["detector"],
+                                                         "visual_blocks": EVEN_KERNEL_RES_BLOCKS})))
+        argv += ["--checkpoint", str(path)]
+    elif command == "ablate":
+        argv += ["--axis", "attention", "--seeds", "[0]"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "detector does not fit" in err
+    assert ", 8, 6, 3, 3) differs from its shortcut's (" in err and ", 8, 4, 3, 3)" in err  # batch 1 or 8
+    assert not list((tmp_path / "run").glob("*.avtc")) and not list((tmp_path / "run").glob("report_*"))
+
+
+# a negative seed is a config error (exit 1), not numpy's SeedSequence ValueError (exit 2)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gradcheck", "--seed", "-1"], "gradcheck needs seed >= 0, got -1"),
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth", "--set", "synth.seed=-1"], "synth seed must be >= 0, got -1"),
+        (["train", "--set", "seed=-2"], "seed must be >= 0, got -2"),
+        (["ablate", "--axis", "attention", "--seeds", "[0, -1]"], "--seeds must be >= 0, got [0, -1]"),
+    ],
+    ids=["gradcheck", "synth", "synth_config_seed", "train", "ablate_seeds"],
+)
+def test_negative_seed_exits_one(tiny_config_file, tmp_path, capsys, argv, message):
+    if argv[0] != "gradcheck":
+        argv = [*argv, "--config", str(tiny_config_file), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_clips_too_short_for_a_local_fake_exit_one(tiny_config_file, tmp_path, capsys):
+    # eval_data.fine_chunk's r_max = 0.8 leaves no chunk of hard_min = 2 frames in 2
+    argv = ["synth", "--config", str(tiny_config_file), "--set", "synth.t_v=2", "--out", str(tmp_path / "d")]
+    assert main(argv) == 1
+    assert "local_desync fakes of 2 frames: no legal chunk for T=2" in capsys.readouterr().err
+
+
 def test_set_override_applied(tiny_config_file, tmp_path):
     out = tmp_path / "o"
     rc = main([

@@ -1,22 +1,30 @@
-"""Seeded mutation fuzz of the container readers.
+"""Seeded mutation fuzz of the container readers, and a config mutation fuzz.
 
 Valid files are truncated, have bytes flipped or have header fields
 rewritten (rank, dims, dtype, names, meta).  Whatever the mutant, only
 ``ContainerFormatError`` may escape ``read_container``, and only it or
 ``ConfigError`` may escape ``load_pair`` and ``load_checkpoint``.
+
+Every leaf of a valid run config is replaced in turn by each of a set of
+odd values.  Whatever the mutant, only ``ConfigError`` may escape decoding,
+validation, building pairs from it and one detector forward pass on them.
 """
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from avlab import avdata
 from avlab.container import MAGIC, read_container
-from avlab.detector import Detector, load_checkpoint, save_checkpoint, tiny_config
+from avlab.detector import Detector, load_checkpoint, must_fit, save_checkpoint, tiny_config
 from avlab.errors import ConfigError, ContainerFormatError
 from avlab.pseudofake import ManipulationSpec
 from avlab.rng import substream
+from avlab.trainloop import RunConfig
+from test_cli import TINY_CONFIG
 
 MUTANTS = 300
 ODD_VALUES = (None, -1, 0, 1.5, True, "", "3", "{", "[]", "null", '{"kind": "cut"}', '[{"i": 0}]',
@@ -107,3 +115,47 @@ def test_only_documented_errors_escape_the_readers(make, tmp_path):
                 pass
             except Exception as exc:  # noqa: BLE001 - the failure names the escape
                 pytest.fail(f"mutant {n}: {reader.__name__} raised {type(exc).__name__}: {exc}")
+
+
+# Small on purpose: no mutant of TINY_CONFIG asks for more than a few MB.
+LEAF_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 1, 2, 3, 0.5, 1.5, -0.5, "x", True, None, [], {})
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)) and node:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(value, (*path, key))
+    else:
+        yield path
+
+
+def _decode_and_run(raw: dict) -> None:
+    cfg = RunConfig.from_dict(raw)
+    cfg.validate()
+    pairs = [*avdata.iter_pairs(cfg.synth, 2, 0.5, cfg.train_data.fake_mode, cfg.chunk),
+             *avdata.iter_pairs(cfg.synth, 2, 0.5, "local_desync", cfg.eval_data.fine_chunk, seed=cfg.seed)]
+    with must_fit("the fuzzed clips"):
+        Detector(cfg.detector, seed=cfg.seed).infer(
+            np.stack([p.visual.data for p in pairs]), np.stack([p.audio.data for p in pairs]))
+
+
+def test_only_config_error_escapes_a_mutated_config():
+    valid = RunConfig.from_dict(TINY_CONFIG).to_dict()
+    _decode_and_run(valid)
+    paths = list(_leaf_paths(valid))
+    assert len(paths) == 58
+    escapes = []
+    for path in paths:
+        for value in LEAF_VALUES:
+            mutant = copy.deepcopy(valid)
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                _decode_and_run(mutant)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the failure names every escape
+                escapes.append(f"{'.'.join(map(str, path))}={value!r}: {type(exc).__name__}: {exc}")
+    assert not escapes, "\n".join(escapes)

@@ -476,3 +476,42 @@ def test_no_grad_nests_and_restores():
     y = tn.tsum(tn.mul(x, x))
     y.backward()
     assert np.array_equal(x.grad, [3.0, -4.0])
+
+
+def test_track_kinks_collects_nests_and_restores():
+    x = Tensor(np.array([0.25, -3.0, 4.0]))
+    with tn.track_kinks() as outer:
+        tn.relu(x)
+        with tn.track_kinks() as inner:
+            tn.sqrt(Tensor(np.array([0.5, 9.0])))
+            tn.clip(x, -1.0, 3.5)
+        tn.relu(Tensor(np.array([-0.125])))
+    assert outer == [0.25, 0.125]  # the inner block's ops go to the inner list only
+    assert inner == [0.5, 1.25, 0.5]  # clip appends its distance to lo, then to hi
+    with pytest.raises(RuntimeError, match="probe"):
+        with tn.track_kinks():
+            raise RuntimeError("probe failed")
+    assert tn._KINKS is None
+
+
+def _nan_grad_op(x: Tensor) -> Tensor:
+    """The identity, with a backward that multiplies the gradient by NaN."""
+    return tn._node(x.data.copy(), (x,), lambda g: tn._accum(x, g * np.nan))
+
+
+def test_nan_gradient_fails_the_check():
+    x = substream(13, "nan-grad").standard_normal((3, 4))
+    err = gradcheck.check_op(lambda ts: gradcheck.probe_sum(_nan_grad_op(ts[0])), [x])
+    assert err == math.inf
+    assert not gradcheck.suite_passed({"x": err})
+    assert "FAIL" in gradcheck.format_report({"x": err})
+    assert gradcheck.rel_error(np.ones(2), np.array([1.0, np.inf])) == math.inf
+
+
+def test_max_grad_error_checks_every_tensor():
+    rng = substream(14, "max-grad-error")
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4,)), requires_grad=True)
+    err = gradcheck.max_grad_error(lambda: gradcheck.probe_sum(tn.add(a, b)), [a, b])
+    assert err < gradcheck.OPS_TOLERANCE
+    assert b.grad.shape == (4,)
