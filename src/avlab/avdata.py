@@ -129,6 +129,15 @@ class AVPair:
         return (self.label == "fake") == (manipulated or independent)
 
 
+def check_uniform(pairs: list[AVPair], what: str, key) -> None:
+    """Raise ConfigError naming the first pair whose ``key(pair)`` (its ``what``) differs from the first pair's."""
+    ref = key(pairs[0])
+    for p in pairs:
+        if key(p) != ref:
+            raise ConfigError(f"pair {p.meta.source_id!r}: {what} {key(p)} differ from "
+                              f"{ref} of pair {pairs[0].meta.source_id!r}")
+
+
 @dataclass
 class SynthConfig:
     """Shapes and knobs of the synthetic generator."""

@@ -141,7 +141,7 @@ class _ResBlock3d:
         if c_in == c_out and tuple(stride) == (1, 1, 1):
             self.proj = None
         else:
-            self.proj = Conv3d(c_in, c_out, (1, 1, 1), stride, padding=(0, 0, 0), rng=rng, dtype=dtype)
+            self.proj = Conv3d(c_in, c_out, (1, 1, 1), stride, rng=rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.conv2(tn.relu(self.conv1(x)))

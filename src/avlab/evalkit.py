@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .avdata import AVPair, SynthConfig, iter_pairs
+from .avdata import AVPair, SynthConfig, check_uniform, iter_pairs
 from .detector import Detector, load_checkpoint, must_fit
 from .errors import ConfigError, MetricError
 from .pseudofake import KINDS, ChunkParams
@@ -158,13 +158,16 @@ def evaluate(
 
     ``model`` is a Detector or a checkpoint path.  Videos shorter than one
     subsequence are scored as a single edge-padded subsequence and flagged
-    in the report.  Windows the detector cannot take raise ConfigError.
+    in the report.  Windows the detector cannot take, and a video whose frame
+    shape or samples per frame differ from the first video's, raise ConfigError.
     """
     if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
         model, _ = load_checkpoint(model)
     policy = policy or SubsequencePolicy()
     if not eval_set:
         raise ConfigError("eval set is empty")
+    check_uniform(eval_set, "frame shape and samples per frame",
+                  lambda p: (p.visual.data.shape[1:], p.audio.t // p.visual.t))
 
     per_video = [_windows(pair, policy) for pair in eval_set]
     jobs = [w for wins, _ in per_video for w in wins]

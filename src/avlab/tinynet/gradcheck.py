@@ -1,7 +1,8 @@
 """Finite-difference verification of every differentiable op.
 
 Analytic gradients are compared against central differences computed
-in float64.  ``run_suite`` returns the max relative error per op over
+in float64; a probe re-runs only the op calls downstream of the
+perturbed tensor.  ``run_suite`` returns the max relative error per op over
 a number of random instances; the CLI ``gradcheck`` subcommand prints
 the table and the acceptance tests pin thresholds to it.
 """
@@ -53,11 +54,62 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
+def replayed_losses(loss, tensors: list[Tensor]) -> list:
+    """Per tensor, a probe returning ``float(loss().data)`` that re-runs only the op calls downstream of it.
+
+    The calls come from one recorded tape-free pass of ``loss()``; the others'
+    recorded outputs stand in, and each call goes through its name in
+    ``tensor``, where a wrapper sees it.  Each tensor's first probe also runs
+    the full ``loss()`` and raises RuntimeError unless both agree bit for bit,
+    as they do when every dependency on the tensor passes through the ops.
+    """
+    with T.no_grad(), T.record() as calls:
+        root = loss()
+    return [_replay(loss, calls, root, k, t) for k, t in enumerate(tensors)]
+
+
+def _replay(loss, calls: list[tuple], root: Tensor, k: int, t: Tensor):
+    # The plan: every call taking t, or an earlier planned call's output, as an argument.
+    # Each keeps its own argument list and keyword dict; its slots name the entries a
+    # probe fills with fresh outputs.  The recorded calls keep every object alive, so ids stay unique.
+    steps = []
+    source = {id(t): None}  # id -> the planned call whose output it is; t itself is perturbed in place
+    for name, args, kwargs, out in calls:
+        args, kwargs = list(args), dict(kwargs)
+        slots = [(box, key, source[id(v)]) for box, items in ((args, enumerate(args)), (kwargs, kwargs.items()))
+                 for key, v in items if id(v) in source]
+        if slots:
+            source[id(out)] = len(steps)
+            steps.append((name, args, kwargs, [s for s in slots if s[2] is not None]))
+    last = source.get(id(root))
+    checked = False
+
+    def probe() -> float:
+        nonlocal checked
+        outs = []
+        for name, args, kwargs, slots in steps:
+            for box, key, i in slots:
+                box[key] = outs[i]
+            outs.append(getattr(T, name)(*args, **kwargs))
+        value = float((root if last is None else outs[last]).data)
+        if not checked:
+            checked = True
+            full = float(loss().data)
+            if value.hex() != full.hex():
+                raise RuntimeError(f"replayed loss {value!r} differs from loss() {full!r} when tensor {k} "
+                                   f"of shape {t.shape} is perturbed: loss() uses it outside the recorded ops")
+        return value
+
+    return probe
+
+
 def max_grad_error(loss, tensors: list[Tensor], h: float = FD_STEP) -> float:
     """Max relative error between each tensor's backprop ``.grad`` and the central
-    differences over its ``.data`` of ``loss() -> Tensor``, a deterministic scalar."""
+    differences over its ``.data`` of ``loss() -> Tensor``, a deterministic scalar,
+    probed through :func:`replayed_losses`."""
     loss().backward()
-    return max(rel_error(t.grad, numerical_grad(lambda: float(loss().data), t.data, h)) for t in tensors)
+    probes = replayed_losses(loss, tensors)
+    return max(rel_error(t.grad, numerical_grad(f, t.data, h)) for t, f in zip(tensors, probes))
 
 
 @functools.lru_cache(maxsize=128)

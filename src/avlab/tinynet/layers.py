@@ -1,7 +1,8 @@
 """Parameterized layers: convolutions and a dense layer.
 
 Weights use uniform Kaiming-style fan-in init; every layer takes an
-explicit rng so models are reproducible from a seed.
+explicit rng so models are reproducible from a seed.  Convolutions pad
+each axis by ``k // 2``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ def _bias_uniform(n: int, fan_in: int, rng: np.random.Generator, dtype=np.float3
 
 
 class Conv3d:
-    def __init__(self, c_in, c_out, kernel, stride=(1, 1, 1), padding=None,
+    def __init__(self, c_in, c_out, kernel, stride=(1, 1, 1),
                  rng: np.random.Generator | None = None, dtype=np.float32):
         kernel = tuple(kernel)
         self.stride = tuple(stride)
-        self.padding = tuple(k // 2 for k in kernel) if padding is None else tuple(padding)
+        self.padding = tuple(k // 2 for k in kernel)
         rng = rng or np.random.default_rng(0)
         fan_in = c_in * int(np.prod(kernel))
         self.weight = Tensor(kaiming_uniform((c_out, c_in, *kernel), fan_in, rng, dtype), requires_grad=True)
@@ -41,10 +42,10 @@ class Conv3d:
 
 
 class Conv1d:
-    def __init__(self, c_in, c_out, kernel: int, stride: int = 1, padding: int | None = None,
+    def __init__(self, c_in, c_out, kernel: int, stride: int = 1,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.stride = int(stride)
-        self.padding = kernel // 2 if padding is None else int(padding)
+        self.padding = kernel // 2
         rng = rng or np.random.default_rng(0)
         fan_in = c_in * kernel
         self.weight = Tensor(kaiming_uniform((c_out, c_in, kernel), fan_in, rng, dtype), requires_grad=True)

@@ -86,6 +86,44 @@ def track_kinks():
         _KINKS = previous
 
 
+# Inside ``record()`` every outermost public op call appends ``(op name,
+# args, kwargs, output)`` here, for the gradient check to replay; the ops
+# an op calls are part of its call.
+_CALLS: list[tuple] | None = None
+
+
+@contextmanager
+def record():
+    """Yield a fresh list of the outermost op calls made in the block; nests, and restores on exit."""
+    global _CALLS
+    previous = _CALLS
+    _CALLS = []
+    try:
+        yield _CALLS
+    finally:
+        _CALLS = previous
+
+
+def _op(fn):
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        global _CALLS
+        calls = _CALLS
+        if calls is None:
+            return fn(*args, **kwargs)
+        _CALLS = None  # the ops this one calls are not logged
+        try:
+            out = fn(*args, **kwargs)
+        finally:
+            _CALLS = calls
+        calls.append((name, args, kwargs, out))
+        return out
+
+    return op
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -166,6 +204,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / linear algebra
 
 
+@_op
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
@@ -176,6 +215,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+@_op
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
@@ -186,6 +226,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+@_op
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     data = a.data * b.data
@@ -197,6 +238,7 @@ def mul(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+@_op
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
@@ -211,6 +253,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+@_op
 def relu(x: Tensor) -> Tensor:
     if _KINKS is not None:
         _KINKS.append(float(np.abs(x.data).min()))
@@ -222,6 +265,7 @@ def relu(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-x) overflows to inf for very negative x, giving the exact limit 0
     with np.errstate(over="ignore"):
@@ -233,6 +277,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(s, (x,), backward)
 
 
+@_op
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
 
@@ -242,6 +287,7 @@ def exp(x: Tensor) -> Tensor:
     return _node(e, (x,), backward)
 
 
+@_op
 def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
 
@@ -251,6 +297,7 @@ def log(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def sqrt(x: Tensor) -> Tensor:
     if _KINKS is not None:
         _KINKS.append(float(np.abs(x.data).min()))
@@ -263,6 +310,7 @@ def sqrt(x: Tensor) -> Tensor:
     return _node(r, (x,), backward)
 
 
+@_op
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     if _KINKS is not None:
         _KINKS.extend((float(np.abs(x.data - lo).min()), float(np.abs(x.data - hi).min())))
@@ -275,6 +323,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
@@ -286,12 +335,14 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
     s = tsum(x, axis=axis, keepdims=keepdims)
     return mul(s, 1.0 / n)
 
 
+@_op
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
 
@@ -301,6 +352,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def transpose(x: Tensor, axes) -> Tensor:
     data = x.data.transpose(axes)
 
@@ -310,6 +362,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -322,6 +375,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(y, (x,), backward)
 
 
+@_op
 def bce_loss(y_pred: Tensor, y_true: np.ndarray) -> Tensor:
     """Mean binary cross-entropy; predictions are probabilities, clamped
     to [BCE_EPS, 1 - BCE_EPS] before the logs."""
@@ -473,6 +527,7 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
     return _node(out.transpose(p.to_first), (x, w) if bias is None else (x, w, bias), backward)
 
 
+@_op
 def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of (B, C, T, H, W) with (O, C, kt, kh, kw), plus an optional (O,) bias."""
     if x.data.ndim != 5 or w.data.ndim != 5:
@@ -480,6 +535,7 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias: Tens
     return _conv("conv3d", x, w, tuple(stride), tuple(padding), bias)
 
 
+@_op
 def conv1d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor | None = None) -> Tensor:
     """Cross-correlation of (B, C, L) with (O, C, k), plus an optional (O,) bias."""
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -526,6 +582,7 @@ def _adaptive_avg_pool(x: Tensor, bins: tuple[int, ...]) -> Tensor:
     return _node(data, (x,), backward)
 
 
+@_op
 def adaptive_avg_pool3d(x: Tensor, out_shape: tuple[int, int, int]) -> Tensor:
     """Adaptive average pooling of (B, C, T, H, W) to (B, C, *out_shape).
 
@@ -539,6 +596,7 @@ def adaptive_avg_pool3d(x: Tensor, out_shape: tuple[int, int, int]) -> Tensor:
     return _adaptive_avg_pool(x, tuple(out_shape))
 
 
+@_op
 def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
     """Adaptive average pooling of (B, C, L) to (B, C, out_len), as one averaging matmul."""
     if x.data.ndim != 3:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .avdata import AVPair, SynthConfig, apply_to_pair
+from .avdata import AVPair, SynthConfig, apply_to_pair, check_uniform
 from .detector import Detector, DetectorConfig, must_fit, save_checkpoint
 from .errors import ChunkRejected, ConfigError, DivergenceError
 from .pseudofake import KINDS, ChunkParams, check_weights, sample_manipulation
@@ -199,11 +199,13 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
 
     The per-epoch loss recorded (and minimized over) is the mean
     per-sample BCE accumulated in dataset order, so it is independent
-    of batch partitioning.
+    of batch partitioning.  Every pair must have the first pair's visual
+    and audio shapes (ConfigError).
     """
     cfg.validate()
     if not train_set:
         raise ConfigError("train set is empty")
+    check_uniform(train_set, "visual and audio shapes", lambda p: (p.visual.data.shape, p.audio.data.shape))
     has_real = any(p.label == "real" for p in train_set)
     has_fake_source = any(p.label == "fake" for p in train_set) or cfg.pseudo_fake_prob > 0
     if not has_real or not has_fake_source:

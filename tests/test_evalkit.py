@@ -1,5 +1,7 @@
 """AUC oracle equivalence, subsequence aggregation, ablation table structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,20 @@ def test_evaluate_short_video_padded_and_flagged():
     row = next(v for v in report.videos if v.video_id == "s0")
     assert row.padded and len(row.scores) == 1
     assert "yes" in report.to_text()
+
+
+@pytest.mark.parametrize("odd, what", [
+    (dict(spf=12), r"\(\(1, 4, 4\), 12\)"),
+    (dict(shape=(1, 4, 5)), r"\(\(1, 4, 5\), 10\)"),
+])
+def test_evaluate_mixed_frame_shapes_name_the_first_odd_video(odd, what):
+    pairs = [_stub_pair([0.1] * 8, "real", source_id="r0"), _stub_pair([0.9] * 4, "fake", source_id="f0")]
+    bad = _stub_pair([0.5] * 8, "fake", spf=odd.get("spf", 10), source_id="bad")
+    if "shape" in odd:
+        bad = replace(bad, visual=avdata.VisualClip(np.zeros((8, *odd["shape"]), np.float32)))
+    with pytest.raises(ConfigError, match=rf"pair 'bad': frame shape and samples per frame {what} "
+                                          r"differ from \(\(1, 4, 4\), 10\) of pair 'r0'"):
+        evaluate(_StubModel(), pairs + [bad], SubsequencePolicy(length=4))
 
 
 class _RecordingModel:

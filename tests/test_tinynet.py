@@ -495,8 +495,13 @@ def test_track_kinks_collects_nests_and_restores():
 
 
 def _nan_grad_op(x: Tensor) -> Tensor:
-    """The identity, with a backward that multiplies the gradient by NaN."""
-    return tn._node(x.data.copy(), (x,), lambda g: tn._accum(x, g * np.nan))
+    """The identity, with a backward that multiplies the gradient by NaN.
+
+    Its forward is a public op, so the check's recorded pass sees it."""
+    out = tn.mul(x, 1.0)
+    if out._backward is not None:  # only the taped pass; probes run under no_grad
+        out._backward = lambda g: tn._accum(x, g * np.nan)
+    return out
 
 
 def test_nan_gradient_fails_the_check():
@@ -515,3 +520,92 @@ def test_max_grad_error_checks_every_tensor():
     err = gradcheck.max_grad_error(lambda: gradcheck.probe_sum(tn.add(a, b)), [a, b])
     assert err < gradcheck.OPS_TOLERANCE
     assert b.grad.shape == (4,)
+
+
+def test_record_logs_outermost_op_calls_only():
+    x = Tensor(np.array([0.2, 0.7]))
+    with tn.record() as outer:
+        m = tn.mean(x)  # calls tsum and mul
+        with tn.record() as inner:
+            loss = tn.bce_loss(x, np.array([0.0, 1.0]))  # calls clip, log, sub, mul, mean, add
+        y = tn.relu(m)
+    assert [(name, out) for name, _, _, out in outer] == [("mean", m), ("relu", y)]
+    assert [(name, args[0], out) for name, args, _, out in inner] == [("bce_loss", x, loss)]
+    assert outer[1][1] == (m,) and outer[1][2] == {}
+    with pytest.raises(RuntimeError, match="probe"):
+        with tn.record():
+            raise RuntimeError("probe failed")
+    assert tn._CALLS is None
+
+
+def _captured_losses(monkeypatch, seed):
+    """(loss, tensors, h) of every check ``run_suite`` makes for one instance, the tiny detector's last."""
+    cases = []
+
+    def capture_op(build, inputs):
+        leaves = [Tensor(arr, requires_grad=True) for arr in inputs]
+        cases.append((lambda: build(leaves), leaves, gradcheck.FD_STEP))
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "check_op", capture_op)
+    monkeypatch.setattr(gradcheck, "max_grad_error", lambda loss, ts, h: cases.append((loss, ts, h)) or 0.0)
+    gradcheck.run_suite(seed=seed, instances=1, include_model=True)
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_replayed_probes_equal_full_recompute_bitwise(monkeypatch, seed):
+    cases = _captured_losses(monkeypatch, seed)
+    assert len(cases) == 13  # twelve ops and the tiny detector
+    for i, (loss, tensors, h) in enumerate(cases):
+        for t, probe in zip(tensors, gradcheck.replayed_losses(loss, tensors)):
+            replayed = gradcheck.numerical_grad(probe, t.data, h)
+            full = gradcheck.numerical_grad(lambda: float(loss().data), t.data, h)
+            assert replayed.tobytes() == full.tobytes(), (i, t.shape)
+
+
+def test_replay_misses_a_dependency_built_outside_the_ops():
+    rng = substream(15, "hidden-dependency")
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4,)), requires_grad=True)
+
+    def loss():
+        h = tn.mul(a, b)
+        hidden = Tensor(h.data * 2.0)  # depends on a and b, but no recorded call shows it
+        return gradcheck.probe_sum(tn.add(h, hidden))
+
+    with pytest.raises(RuntimeError, match=r"tensor 0 of shape \(3, 4\) is perturbed"):
+        gradcheck.max_grad_error(loss, [a, b])
+
+
+def _counting(monkeypatch, name):
+    calls = [0]
+    op = getattr(tn, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return op(*args, **kwargs)
+
+    monkeypatch.setattr(tn, name, counted)
+    return calls
+
+
+def test_replays_call_ops_through_the_tensor_module(monkeypatch):
+    # a wrapper installed on ``tensor.conv3d``, as the benchmark tracer installs one,
+    # sees every replayed call: one per probe, two probes per element
+    calls = _counting(monkeypatch, "conv3d")
+    rng = substream(16, "counted-replay")
+    x, w = rng.standard_normal((1, 2, 3, 4, 4)), 0.5 * rng.standard_normal((2, 2, 3, 3, 3))
+    gradcheck.check_op(lambda ts: gradcheck.probe_sum(tn.conv3d(ts[0], ts[1], (1, 1, 1), (1, 1, 1))), [x, w])
+    # the backward pass, the recorded pass, the probes, and each tensor's full first probe
+    assert calls[0] == 1 + 1 + 2 * (x.size + w.size) + 2
+
+
+def test_replay_runs_only_the_calls_downstream_of_the_tensor(monkeypatch):
+    calls = _counting(monkeypatch, "relu")
+    rng = substream(17, "downstream")
+    a, b = rng.standard_normal((3, 4)) + 3.0, rng.standard_normal((3, 4))  # mul(a, a) far from relu's kink
+    err = gradcheck.check_op(lambda ts: gradcheck.probe_sum(tn.add(tn.relu(tn.mul(ts[0], ts[0])), ts[1])), [a, b])
+    assert err < gradcheck.OPS_TOLERANCE
+    # b enters after the relu, so its probes replay only add, mul and tsum
+    assert calls[0] == 1 + 1 + 2 * a.size + 2

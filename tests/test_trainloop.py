@@ -191,6 +191,16 @@ def test_train_validates_inputs():
         train(cfg_no_aug, only_real)
 
 
+def test_train_mixed_shapes_name_the_first_odd_pair():
+    cfg = tiny_run_config()
+    small = tiny_train_set(cfg, n=4)
+    big = avdata.make_pairs(SynthConfig(t_v=8, c_v=1, h=16, w=16, t_a=320), 2, 0.5, "global_desync",
+                            seed=6, id_prefix="big")
+    with pytest.raises(ConfigError, match=r"pair 'big-00000': visual and audio shapes "
+                                          r"\(\(8, 1, 16, 16\), \(320,\)\) differ from .* of pair 't-00000'"):
+        train(cfg, small + big + small)
+
+
 def test_train_divergence_diagnostic():
     cfg = tiny_run_config(epochs=1, pseudo_fake_prob=0.0)
     train_set = tiny_train_set(cfg)
