@@ -15,6 +15,7 @@ fakes, ``fine_grained`` uses locally desynced fakes with short chunks.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict, replace
@@ -158,8 +159,11 @@ def evaluate(
 
     ``model`` is a Detector or a checkpoint path.  Videos shorter than one
     subsequence are scored as a single edge-padded subsequence and flagged
-    in the report.  Windows the detector cannot take, and a video whose frame
-    shape or samples per frame differ from the first video's, raise ConfigError.
+    in the report.  Windows go to the model in batches of up to ``batch_size``
+    consecutive windows of equal length, so videos may differ in length, also
+    when whole videos are scored.  Windows the detector cannot take, and a video
+    whose frame shape or samples per frame differ from the first video's, raise
+    ConfigError.
     """
     if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
         model, _ = load_checkpoint(model)
@@ -172,10 +176,12 @@ def evaluate(
     per_video = [_windows(pair, policy) for pair in eval_set]
     jobs = [w for wins, _ in per_video for w in wins]
     scores = []
-    with must_fit(f"eval windows of {len(jobs[0][0])} frames"):
-        for start in range(0, len(jobs), batch_size):
-            visuals, audios = zip(*jobs[start : start + batch_size])
-            scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
+    for length, run in itertools.groupby(jobs, key=lambda w: len(w[0])):
+        run = list(run)
+        with must_fit(f"eval windows of {length} frames"):
+            for start in range(0, len(run), batch_size):
+                visuals, audios = zip(*run[start : start + batch_size])
+                scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
     it = iter(scores)
     videos = [
         ScoredVideo(pair.meta.source_id, [next(it) for _ in wins], pair.label, padded)

@@ -48,9 +48,22 @@ BCE_EPS = 1e-7
 
 # Cleared inside ``no_grad()``: ops then build no tape.
 _GRAD_ENABLED = True
+# Inside ``record()`` every outermost public op call appends ``(op name,
+# args, kwargs, output)`` here; the ops an op calls are part of its call.
+_CALLS: list[tuple] | None = None
 
 
 @contextmanager
+def _set(name: str, value):
+    """Set the module global ``name`` to ``value`` for the block and yield it; restores on exit."""
+    previous = globals()[name]
+    globals()[name] = value
+    try:
+        yield value
+    finally:
+        globals()[name] = previous
+
+
 def no_grad():
     """Record no tape inside the block, for inference and probe-only forward passes.
 
@@ -58,50 +71,39 @@ def no_grad():
     closure, so nothing a backward pass would need is kept alive.  Nests,
     and restores the previous state on exit, also on an exception.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+    return _set("_GRAD_ENABLED", False)
 
 
-# Finite differences are only valid where the graph is smooth.  Inside
-# ``track_kinks()`` the non-smooth ops (relu, sqrt, clip) append how close
-# their arguments come to the kink to the yielded list, so a checker can
-# reject probe points that sit inside its step size.
-_KINKS: list[float] | None = None
+def record():
+    """Yield a fresh list of the outermost op calls made in the block, for the
+    gradient check to replay; nests, and restores the previous list on exit."""
+    return _set("_CALLS", [])
+
+
+# Finite differences are only valid where the graph is smooth.  Per
+# non-smooth op, its argument and the points where its slope jumps;
+# bce_loss's inner clip is part of its call, so it has an entry of its own.
+_KINK_POINTS = {
+    "relu": lambda x: (x, 0.0),
+    "sqrt": lambda x: (x, 0.0),
+    "clip": lambda x, lo, hi: (x, lo, hi),
+    "bce_loss": lambda y_pred, y_true: (y_pred, BCE_EPS, 1.0 - BCE_EPS),
+}
 
 
 @contextmanager
 def track_kinks():
-    """Yield a fresh list for kink distances; nests, and restores the previous list on exit."""
-    global _KINKS
-    previous = _KINKS
-    _KINKS = []
-    try:
-        yield _KINKS
-    finally:
-        _KINKS = previous
-
-
-# Inside ``record()`` every outermost public op call appends ``(op name,
-# args, kwargs, output)`` here, for the gradient check to replay; the ops
-# an op calls are part of its call.
-_CALLS: list[tuple] | None = None
-
-
-@contextmanager
-def record():
-    """Yield a fresh list of the outermost op calls made in the block; nests, and restores on exit."""
-    global _CALLS
-    previous = _CALLS
-    _CALLS = []
-    try:
-        yield _CALLS
-    finally:
-        _CALLS = previous
+    """Yield a list that, on exit, holds how close each non-smooth op call of the
+    block came to each of its kinks, in call order, so a checker can reject probe
+    points that sit inside its step size.  Reads the calls ``record()`` logs, so it
+    nests like ``record()``."""
+    kinks: list[float] = []
+    with record() as calls:
+        yield kinks
+    for name, args, kwargs, _ in calls:
+        if name in _KINK_POINTS:
+            x, *points = _KINK_POINTS[name](*args, **kwargs)
+            kinks.extend(float(np.abs(x.data - p).min()) for p in points)
 
 
 def _op(fn):
@@ -255,8 +257,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 @_op
 def relu(x: Tensor) -> Tensor:
-    if _KINKS is not None:
-        _KINKS.append(float(np.abs(x.data).min()))
     data = np.maximum(x.data, 0)
 
     def backward(g):
@@ -299,8 +299,6 @@ def log(x: Tensor) -> Tensor:
 
 @_op
 def sqrt(x: Tensor) -> Tensor:
-    if _KINKS is not None:
-        _KINKS.append(float(np.abs(x.data).min()))
     r = np.sqrt(x.data)
 
     def backward(g):
@@ -312,8 +310,6 @@ def sqrt(x: Tensor) -> Tensor:
 
 @_op
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    if _KINKS is not None:
-        _KINKS.extend((float(np.abs(x.data - lo).min()), float(np.abs(x.data - hi).min())))
     data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
 

@@ -1,0 +1,43 @@
+"""tools/ab.py: a smoke run of a few interleaved rounds on a throwaway git repo."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_ab_smoke_rounds(tmp_path):
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    tmp.mkdir()
+    for part in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / part, repo / part, ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "one")
+    files = sorted(p for p in repo.rglob("*") if ".git" not in p.parts)
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, "tools/ab.py", "HEAD", "HEAD", "--workload", "gradcheck", "--rounds", "3", "--out", str(out)],
+        cwd=repo, capture_output=True, text=True, timeout=300, env={**os.environ, "TMPDIR": str(tmp)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert json.loads(proc.stdout.splitlines()[-1]) == result
+    assert result["rounds"] == 3 and len(result["ratios"]) == 3
+    assert result["a"]["commit"] == result["b"]["commit"]
+    assert result["a"]["failed"] == result["b"]["failed"] == 0
+    lo, hi = result["ci95"]
+    assert lo <= result["median_ratio"] <= hi and result["ratio_iqr"] >= 0
+    assert result["a_wins"] + result["b_wins"] <= 3
+    # the exported trees and the workload scratch went under TMPDIR and are gone; the repo is untouched
+    assert list(tmp.iterdir()) == []
+    assert sorted(p for p in repo.rglob("*") if ".git" not in p.parts) == files

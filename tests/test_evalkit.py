@@ -259,6 +259,17 @@ def test_evaluate_report_unchanged_by_no_grad():
     assert report.to_json() == evaluate(_TapedScorer(model), eval_set, policy).to_json()
 
 
+def test_whole_videos_of_different_lengths_score_as_alone():
+    model = Detector(TINY_DETECTOR, seed=4)
+    short, long = (make_split(SynthConfig(t_v=t, c_v=1, h=12, w=12, t_a=40 * t), "in_distribution", 2, seed=79)
+                   for t in (16, 24))
+    eval_set = [short[0], long[0], short[1], long[1]]  # each video a run of its own length
+    report = evaluate(model, eval_set)  # whole videos
+    for pair, row in zip(eval_set, report.videos, strict=True):
+        alone = model.score_batch(pair.visual.data[None], pair.audio.data.reshape(1, -1))
+        assert row.scores == [float(alone[0])]
+
+
 def test_make_split_composition():
     cfg = SynthConfig(t_v=8, c_v=1, h=12, w=12, t_a=320)
     for split in ("in_distribution", "fine_grained"):

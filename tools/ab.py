@@ -1,0 +1,181 @@
+"""Interleaved A/B timing of two revisions on one benchmark workload.
+
+Usage, from anywhere inside a checkout::
+
+    python3 tools/ab.py REV_A REV_B --workload {train,score,gradcheck} \\
+        [--rounds N] [--seed S] [--out FILE]
+
+Each revision is exported with ``git archive`` into a temporary directory
+and served by one long-lived worker process, which imports that tree's
+``src/avlab`` and ``perfbench/workloads.py``, runs the workload's set-up and
+one warm-up unit, then runs one unit per request.  Round ``j`` times unit
+``j`` (the same inputs) on both sides, A first in even rounds and B first
+in odd ones, so a drift of the host's speed falls on both sides alike.
+Units are timed in wall time inside the worker, with BLAS pinned to one
+thread, and checked outside the timed region.
+
+The ratio of a round is B's unit time over A's: below 1 means B was
+faster.  The script prints, and writes as JSON to ``--out`` if given (the
+last stdout line is the same JSON object), the median ratio, a bootstrap
+95% interval of that median, the interquartile range of the round ratios
+and how many rounds each side won.  Resolution comes from many short
+interleaved rounds: one round's ratio spreads by several percent.
+
+The tool acts only on its own processes; it sets no CPU affinity,
+frequency governor or other machine setting.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import multiprocessing  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tarfile  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD_NAMES = ("train", "score", "gradcheck")
+BOOTSTRAP_SAMPLES = 2000
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("rev_a")
+    p.add_argument("rev_b")
+    p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, help="also write the JSON result here")
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error(f"--rounds must be >= 1, got {args.rounds}")
+    return args
+
+
+def _git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract ``rev``'s committed files into ``dest``; returns its commit id."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
+    """Worker: set up ``workload`` from ``tree``, then time one unit per received index until None."""
+    sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS[workload](seed, False, Path(scratch))
+    wl.setup()
+    j = -1  # the warm-up unit; the driver drops its time
+    while j is not None:
+        gc.collect()
+        t = time.perf_counter()
+        out = wl.unit(j)
+        dt = time.perf_counter() - t
+        problems = wl.check(out)
+        wl.release(out)
+        conn.send((dt, problems))
+        j = conn.recv()
+
+
+def _quantiles(values):
+    return [float(q) for q in np.quantile(values, (0.25, 0.5, 0.75))]
+
+
+def summarize(times_a: list[float], times_b: list[float]) -> dict:
+    """Median B/A round ratio, its bootstrap 95% interval, the round IQR and the win counts."""
+    ratios = np.asarray(times_b) / np.asarray(times_a)
+    picks = np.random.default_rng(0).integers(0, len(ratios), (BOOTSTRAP_SAMPLES, len(ratios)))
+    lo, hi = np.quantile(np.median(ratios[picks], axis=1), (0.025, 0.975))
+    q25, median, q75 = _quantiles(ratios)
+    return {
+        "median_ratio": median,
+        "ci95": [float(lo), float(hi)],
+        "ratio_iqr": q75 - q25,
+        "b_wins": int((ratios < 1).sum()),
+        "a_wins": int((ratios > 1).sum()),
+        "ratios": ratios.tolist(),
+    }
+
+
+def run(args) -> dict:
+    ctx = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory(prefix="avlab-ab-") as tmp:
+        sides, workers = {}, []
+        try:
+            for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
+                tree, scratch = Path(tmp) / side, Path(tmp) / f"{side}-scratch"
+                scratch.mkdir()
+                sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "failed": 0}
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(target=serve, args=(child, str(tree), args.workload, args.seed, str(scratch)),
+                                   daemon=True)
+                proc.start()
+                child.close()
+                workers.append((side, parent, proc))
+            for side, conn, _ in workers:  # the warm-up units
+                _, problems = conn.recv()
+                sides[side]["failed"] += bool(problems)
+            for j in range(args.rounds):
+                for side, conn, _ in workers if j % 2 == 0 else workers[::-1]:
+                    conn.send(j)
+                    dt, problems = conn.recv()
+                    sides[side]["times"].append(dt)
+                    sides[side]["failed"] += bool(problems)
+                    if problems:
+                        print(f"check failed, {side} round {j}: {'; '.join(problems)}", file=sys.stderr)
+        finally:
+            for _, conn, proc in workers:
+                try:
+                    conn.send(None)
+                except OSError:  # the worker is gone already
+                    pass
+                proc.join(timeout=30)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+    result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds}
+    for side, info in sides.items():
+        q25, median, q75 = _quantiles(info["times"])
+        result[side] = {"rev": info["rev"], "commit": info["commit"], "unit_s_median": median,
+                        "unit_s_quartiles": [q25, q75], "failed": info["failed"]}
+    result.update(summarize(sides["a"]["times"], sides["b"]["times"]))
+    return result
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    result = run(args)
+    a, b = result["a"], result["b"]
+    print(f"{args.workload}: {args.rounds} rounds; unit median A {a['unit_s_median'] * 1e3:.1f} ms "
+          f"({a['rev']}), B {b['unit_s_median'] * 1e3:.1f} ms ({b['rev']})")
+    print(f"B/A time ratio: median {result['median_ratio']:.4f}, 95% interval "
+          f"[{result['ci95'][0]:.4f}, {result['ci95'][1]:.4f}], round IQR {result['ratio_iqr']:.4f}; "
+          f"B faster in {result['b_wins']}, A faster in {result['a_wins']}")
+    if a["failed"] or b["failed"]:
+        print(f"failed checks: A {a['failed']}, B {b['failed']}")
+    text = json.dumps(result, sort_keys=True)
+    if args.out is not None:
+        args.out.write_text(text + "\n")
+    print(text)
+    return 1 if a["failed"] or b["failed"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
