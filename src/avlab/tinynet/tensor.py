@@ -2,11 +2,16 @@
 
 Every op builds a node in a tape; ``Tensor.backward()`` walks the tape
 in reverse topological order and accumulates gradients into every
-tensor with ``requires_grad=True``.  Inside ``no_grad()`` ops build no
-tape: outputs carry no parents and no backward closure, so inference and
-finite-difference probes keep nothing alive for a backward pass that
-never comes.  Ops preserve the input dtype, so the same graph code runs
-in float32 for training and float64 for finite-difference checks.
+tensor with ``requires_grad=True``.  The walk consumes the tape: once a
+node's closure has run, the node drops its closure, its parents and its
+gradient, so a training step does not hold the last step's activations
+while it runs its own forward.  Leaves (parameters and inputs) keep
+``.grad``; a second ``backward()`` through a consumed node raises
+RuntimeError.  Inside ``no_grad()`` ops build no tape: outputs carry no
+parents and no backward closure, so inference and finite-difference
+probes keep nothing alive for a backward pass that never comes.  Ops
+preserve the input dtype, so the same graph code runs in float32 for
+training and float64 for finite-difference checks.
 
 ``conv3d`` and ``conv1d`` share one GEMM kernel over N spatial axes.  It
 pads the input channels-last, (B, *S, C), so each window copied into the
@@ -163,11 +168,19 @@ class Tensor:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            # consume the node: its closure, its inputs and its gradient are garbage now
+            node._backward, node._parents, node.grad = _consumed, (), None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g) -> None:
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed")
 
 
 def _as_tensor(x, dtype=None) -> Tensor:
@@ -515,6 +528,7 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
         if x.requires_grad:
             # tap-major (trailing taps, B, *rows, *So_trail, C), so each tap's block is contiguous
             gcols = (gymat @ wmat.reshape(-1, C, p.gemm[1]).transpose(0, 2, 1)).reshape(p.gcols_shape)
+            # keep xp in the closure: freeing it per step made glibc trim and re-fault the heap (65K faults/epoch)
             gxp = np.zeros_like(xp)
             for k, dst in enumerate(p.taps):
                 gxp[dst] += gcols[k]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,18 +28,25 @@ def test_ab_smoke_rounds(tmp_path):
     files = sorted(p for p in repo.rglob("*") if ".git" not in p.parts)
     out = tmp_path / "ab.json"
     proc = subprocess.run(
-        [sys.executable, "tools/ab.py", "HEAD", "HEAD", "--workload", "gradcheck", "--rounds", "3", "--out", str(out)],
+        [sys.executable, "tools/ab.py", "HEAD", "HEAD", "--workload", "gradcheck", "--rounds", "4", "--out", str(out)],
         cwd=repo, capture_output=True, text=True, timeout=300, env={**os.environ, "TMPDIR": str(tmp)},
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert json.loads(proc.stdout.splitlines()[-1]) == result
-    assert result["rounds"] == 3 and len(result["ratios"]) == 3
+    assert result["rounds"] == 4 and len(result["ratios"]) == 4
     assert result["a"]["commit"] == result["b"]["commit"]
     assert result["a"]["failed"] == result["b"]["failed"] == 0
     lo, hi = result["ci95"]
     assert lo <= result["median_ratio"] <= hi and result["ratio_iqr"] >= 0
-    assert result["a_wins"] + result["b_wins"] <= 3
+    assert result["a_wins"] + result["b_wins"] <= 4
+    # the workers were respawned in swapped order after round 2: two halves of 2 rounds each
+    first, second = result["halves"]
+    assert (first["rounds"], first["spawned_first"]) == ([0, 2], "a")
+    assert (second["rounds"], second["spawned_first"]) == ([2, 4], "b")
+    for h, ratios in ((first, result["ratios"][:2]), (second, result["ratios"][2:])):
+        assert h["median_ratio"] == float(np.median(ratios))
+        assert h["a_wins"] + h["b_wins"] <= 2
     # the exported trees and the workload scratch went under TMPDIR and are gone; the repo is untouched
     assert list(tmp.iterdir()) == []
     assert sorted(p for p in repo.rglob("*") if ".git" not in p.parts) == files

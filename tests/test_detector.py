@@ -1,6 +1,9 @@
 """Detector architecture: shape contracts, map invariants, checkpoints."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from avlab.detector import (
 )
 from avlab.errors import ConfigError, ShapeError
 from avlab.rng import substream
+from avlab.tinynet import Adam
 from avlab.tinynet import tensor as tn
 from avlab.tinynet.layers import Conv1d
 from avlab.tinynet.tensor import Tensor
@@ -167,18 +171,24 @@ def test_one_adam_step_decreases_loss():
     assert improved >= 95, improved
 
 
+def tape_nodes(root):
+    """The nodes with a backward closure that ``root`` reaches."""
+    nodes, seen, todo = [], set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    return nodes
+
+
 def test_train_step_tape_has_one_node_per_conv_layer():
     m = toy_model()
     v, a = rand_inputs(substream(0, "tape"))
     y, _, _ = m.forward(v, a)
     loss = tn.bce_loss(y, np.array([0.0, 1.0], np.float32))
-    seen, todo = set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen and node._backward is not None:
-            seen.add(id(node))
-            todo.extend(node._parents)
-    assert len(seen) == 59
+    assert len(tape_nodes(loss)) == 59
 
     # the stem's input needs no gradient; the next conv's input does
     stem, block = m.visual_layers[0][1], m.visual_layers[1][1]
@@ -186,6 +196,44 @@ def test_train_step_tape_has_one_node_per_conv_layer():
     assert h._parents == (stem.weight, stem.bias)
     out = block.conv1(h)
     assert out._parents == (h, block.conv1.weight, block.conv1.bias)
+
+
+def test_backward_frees_the_activations():
+    # with the outputs still referenced, every other array of the tape dies in backward()
+    m = toy_model()
+    y, dmap, amap = m.forward(*rand_inputs(substream(0, "free")))
+    loss = tn.bce_loss(y, np.array([0.0, 1.0], np.float32))
+    refs = [weakref.ref(node.data) for node in tape_nodes(loss)]
+    loss.backward()
+    alive = {id(r()) for r in refs if r() is not None}
+    assert len(refs) == 59 and alive == {id(t.data) for t in (loss, y, dmap, amap)}
+
+
+def test_train_steps_do_not_hold_the_last_tape():
+    # step k's forward runs while y and loss still name step k-1's: three steps
+    # need little more memory than one
+    m = toy_model()
+    v, a = rand_inputs(substream(0, "steps"), b=4)
+    labels = np.array([0.0, 1.0, 0.0, 1.0], np.float32)
+    opt = Adam(m.params(), lr=1e-3)
+
+    def peak(steps):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(steps):
+                y, _, _ = m.forward(v, a)
+                loss = tn.bce_loss(y, labels)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm the conv plans
+    one, three = peak(1), peak(3)
+    assert three <= 1.25 * one, (one, three)
 
 
 def test_conv_activations_stay_channels_last():

@@ -182,6 +182,31 @@ def test_backward_accumulates_shared_node():
     assert np.allclose(x.grad, [6.0])
 
 
+def test_backward_consumes_its_graph():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = tn.mul(x, 2.0)
+    loss = tn.tsum(h)
+    loss.backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])  # the leaf keeps its gradient
+    for node in (h, loss):
+        assert node.grad is None and node._parents == ()
+
+
+def test_second_backward_raises_and_keeps_leaf_grads():
+    # unconsumed, a second walk would leave x.grad == [6, 6]: h.grad accumulates across walks
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    loss = tn.tsum(tn.mul(x, 2.0))
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    # a new graph over a consumed node cannot reach the leaves through it either
+    h = tn.mul(x, 3.0)
+    tn.tsum(h).backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        tn.tsum(tn.mul(h, h)).backward()
+
+
 def test_adam_zero_grad_no_move():
     p = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
     opt = Adam([("p", p)], lr=0.1, weight_decay=0.0)

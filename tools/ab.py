@@ -11,6 +11,10 @@ and served by one long-lived worker process, which imports that tree's
 one warm-up unit, then runs one unit per request.  Round ``j`` times unit
 ``j`` (the same inputs) on both sides, A first in even rounds and B first
 in odd ones, so a drift of the host's speed falls on both sides alike.
+At round ``rounds // 2`` both workers stop and are spawned again in the
+swapped order (A's worker first in the first half, B's in the second), so
+each revision serves half the rounds from each spawn slot and a bias of
+the slot falls on both sides alike too.
 Units are timed in wall time inside the worker, with BLAS pinned to one
 thread, and checked outside the timed region.
 
@@ -18,8 +22,10 @@ The ratio of a round is B's unit time over A's: below 1 means B was
 faster.  The script prints, and writes as JSON to ``--out`` if given (the
 last stdout line is the same JSON object), the median ratio, a bootstrap
 95% interval of that median, the interquartile range of the round ratios
-and how many rounds each side won.  Resolution comes from many short
-interleaved rounds: one round's ratio spreads by several percent.
+and how many rounds each side won; ``halves`` holds each half's median
+ratio and win counts, which agree when the spawn slot does not matter.
+Resolution comes from many short interleaved rounds: one round's ratio
+spreads by several percent.
 
 The tool acts only on its own processes; it sets no CPU affinity,
 frequency governor or other machine setting.
@@ -114,48 +120,71 @@ def summarize(times_a: list[float], times_b: list[float]) -> dict:
     }
 
 
+def _start(ctx, side: str, trees: dict, args) -> tuple:
+    """Start the worker of ``side``; returns (side, conn, proc)."""
+    tree, scratch = trees[side]
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=serve, args=(child, str(tree), args.workload, args.seed, str(scratch)), daemon=True)
+    proc.start()
+    child.close()
+    return side, parent, proc
+
+
+def _stop(workers) -> None:
+    for _, conn, proc in workers:
+        try:
+            conn.send(None)
+        except OSError:  # the worker is gone already
+            pass
+        proc.join(timeout=30)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+
+
 def run(args) -> dict:
     ctx = multiprocessing.get_context("spawn")
+    half = args.rounds // 2
+    # (spawn order, first round, end round) per half; with one round there is one half
+    halves = [h for h in ((("a", "b"), 0, half), (("b", "a"), half, args.rounds)) if h[1] < h[2]]
     with tempfile.TemporaryDirectory(prefix="avlab-ab-") as tmp:
-        sides, workers = {}, []
-        try:
-            for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
-                tree, scratch = Path(tmp) / side, Path(tmp) / f"{side}-scratch"
-                scratch.mkdir()
-                sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "failed": 0}
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(target=serve, args=(child, str(tree), args.workload, args.seed, str(scratch)),
-                                   daemon=True)
-                proc.start()
-                child.close()
-                workers.append((side, parent, proc))
-            for side, conn, _ in workers:  # the warm-up units
-                _, problems = conn.recv()
-                sides[side]["failed"] += bool(problems)
-            for j in range(args.rounds):
-                for side, conn, _ in workers if j % 2 == 0 else workers[::-1]:
-                    conn.send(j)
-                    dt, problems = conn.recv()
-                    sides[side]["times"].append(dt)
+        sides, trees = {}, {}
+        for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
+            tree, scratch = Path(tmp) / side, Path(tmp) / f"{side}-scratch"
+            scratch.mkdir()
+            trees[side] = (tree, scratch)
+            sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "failed": 0}
+        for order, start, end in halves:
+            workers = []
+            try:
+                for side in order:
+                    workers.append(_start(ctx, side, trees, args))
+                workers.sort()  # the rounds address them A, B
+                for side, conn, _ in workers:  # the warm-up units
+                    _, problems = conn.recv()
                     sides[side]["failed"] += bool(problems)
-                    if problems:
-                        print(f"check failed, {side} round {j}: {'; '.join(problems)}", file=sys.stderr)
-        finally:
-            for _, conn, proc in workers:
-                try:
-                    conn.send(None)
-                except OSError:  # the worker is gone already
-                    pass
-                proc.join(timeout=30)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
+                for j in range(start, end):
+                    for side, conn, _ in workers if j % 2 == 0 else workers[::-1]:
+                        conn.send(j)
+                        dt, problems = conn.recv()
+                        sides[side]["times"].append(dt)
+                        sides[side]["failed"] += bool(problems)
+                        if problems:
+                            print(f"check failed, {side} round {j}: {'; '.join(problems)}", file=sys.stderr)
+            finally:
+                _stop(workers)
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds}
     for side, info in sides.items():
         q25, median, q75 = _quantiles(info["times"])
         result[side] = {"rev": info["rev"], "commit": info["commit"], "unit_s_median": median,
                         "unit_s_quartiles": [q25, q75], "failed": info["failed"]}
     result.update(summarize(sides["a"]["times"], sides["b"]["times"]))
+    result["halves"] = []
+    for order, start, end in halves:
+        ratios = np.asarray(result["ratios"][start:end])
+        result["halves"].append({"rounds": [start, end], "spawned_first": order[0],
+                                 "median_ratio": float(np.median(ratios)),
+                                 "b_wins": int((ratios < 1).sum()), "a_wins": int((ratios > 1).sum())})
     return result
 
 
@@ -168,6 +197,9 @@ def main(argv=None) -> int:
     print(f"B/A time ratio: median {result['median_ratio']:.4f}, 95% interval "
           f"[{result['ci95'][0]:.4f}, {result['ci95'][1]:.4f}], round IQR {result['ratio_iqr']:.4f}; "
           f"B faster in {result['b_wins']}, A faster in {result['a_wins']}")
+    for h in result["halves"]:
+        print(f"rounds {h['rounds'][0]}-{h['rounds'][1] - 1}, {h['spawned_first'].upper()} spawned first: "
+              f"median {h['median_ratio']:.4f}; B faster in {h['b_wins']}, A faster in {h['a_wins']}")
     if a["failed"] or b["failed"]:
         print(f"failed checks: A {a['failed']}, B {b['failed']}")
     text = json.dumps(result, sort_keys=True)
