@@ -113,6 +113,8 @@ class AVPair:
             raise ConfigError(f"label must be one of {LABELS}, got {self.label!r}")
         self.visual.validate()
         self.audio.validate()
+        if self.audio.t % self.visual.t != 0:
+            raise ConfigError(f"audio length {self.audio.t} must be a multiple of the frame count {self.visual.t}")
         for spec in self.meta.visual_manipulations:
             spec.validate(self.visual.t)
         for spec in self.meta.audio_manipulations:
@@ -153,7 +155,6 @@ class SynthConfig:
     # plays the role of the synthesis artifacts real dataset fakes carry.
     # Locally-desynced fakes splice real material and stay artifact-free.
     fake_audio_artifact: float = 0.15
-    seed: int = 0
 
     def validate(self) -> None:
         dims = (self.t_v, self.c_v, self.h, self.w, self.t_a)
@@ -167,8 +168,6 @@ class SynthConfig:
             raise ConfigError(f"noise_std and envelope_bandwidth must be >= 0, got {self}")
         if self.fake_audio_artifact < 0:
             raise ConfigError(f"fake_audio_artifact must be >= 0, got {self}")
-        if self.seed < 0:
-            raise ConfigError(f"synth seed must be >= 0, got {self.seed}")
 
     @property
     def samples_per_frame(self) -> int:
@@ -298,7 +297,8 @@ def iter_pairs(
     fake_fraction: float,
     fake_mode: str = "global_desync",
     chunk: ChunkParams | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
     id_prefix: str = "pair",
 ) -> Iterator[AVPair]:
     """Yield a deterministic dataset pair by pair: sample ``i`` always
@@ -307,7 +307,6 @@ def iter_pairs(
     cfg.validate()
     if not (0.0 <= fake_fraction <= 1.0):
         raise ConfigError(f"fake_fraction must lie in [0, 1], got {fake_fraction}")
-    seed = cfg.seed if seed is None else seed
     n_fake = int(round(n * fake_fraction))
     for i in range(n):
         rng = substream(seed, "sample", i)
@@ -324,11 +323,12 @@ def make_pairs(
     fake_fraction: float,
     fake_mode: str = "global_desync",
     chunk: ChunkParams | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
     id_prefix: str = "pair",
 ) -> list[AVPair]:
     """The dataset of :func:`iter_pairs` as a list."""
-    return list(iter_pairs(cfg, n, fake_fraction, fake_mode, chunk, seed, id_prefix))
+    return list(iter_pairs(cfg, n, fake_fraction, fake_mode, chunk, seed=seed, id_prefix=id_prefix))
 
 
 def apply_to_pair(

@@ -161,10 +161,12 @@ def evaluate(
     subsequence are scored as a single edge-padded subsequence and flagged
     in the report.  Windows go to the model in batches of up to ``batch_size``
     consecutive windows of equal length, so videos may differ in length, also
-    when whole videos are scored.  Windows the detector cannot take, and a video
-    whose frame shape or samples per frame differ from the first video's, raise
-    ConfigError.
+    when whole videos are scored.  Windows the detector cannot take, a video
+    whose frame shape or samples per frame differ from the first video's, and a
+    ``batch_size`` below 1 raise ConfigError.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
         model, _ = load_checkpoint(model)
     policy = policy or SubsequencePolicy()
@@ -287,7 +289,10 @@ def ablation_run(
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
-    mean AUC on both synthetic eval splits."""
+    mean AUC on both synthetic eval splits.  An empty ``seeds`` raises
+    ConfigError before anything is built or trained."""
+    if not seeds:
+        raise ConfigError("ablation needs at least one seed")
     defaults = default_axis_values(base_cfg, axis)
     variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
     for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training

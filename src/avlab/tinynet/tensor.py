@@ -1,17 +1,18 @@
 """Tensor type and differentiable operations.
 
-Every op builds a node in a tape; ``Tensor.backward()`` walks the tape
-in reverse topological order and accumulates gradients into every
-tensor with ``requires_grad=True``.  The walk consumes the tape: once a
-node's closure has run, the node drops its closure, its parents and its
-gradient, so a training step does not hold the last step's activations
-while it runs its own forward.  Leaves (parameters and inputs) keep
-``.grad``; a second ``backward()`` through a consumed node raises
-RuntimeError.  Inside ``no_grad()`` ops build no tape: outputs carry no
-parents and no backward closure, so inference and finite-difference
-probes keep nothing alive for a backward pass that never comes.  Ops
-preserve the input dtype, so the same graph code runs in float32 for
-training and float64 for finite-difference checks.
+Every op gives its output, its inputs and a gradient formula that maps
+the output's gradient to one gradient per input, None for an input that
+needs none; the tape node adds them into the inputs.
+``Tensor.backward()`` walks the tape in reverse topological order.  The
+walk consumes the tape: once a node's closure has run, the node drops
+its closure, its parents and its gradient, so a training step does not
+hold the last step's activations while it runs its own forward.  Leaves
+(parameters and inputs) keep ``.grad``; a second ``backward()`` through
+a consumed node raises RuntimeError.  Inside ``no_grad()`` ops build no
+tape: outputs carry no parents and no backward closure, so inference and
+finite-difference probes keep nothing alive for a backward pass that
+never comes.  Ops preserve the input dtype, so the same graph code runs
+in float32 for training and float64 for finite-difference checks.
 
 ``conv3d`` and ``conv1d`` share one GEMM kernel over N spatial axes.  It
 pads the input channels-last, (B, *S, C), so each window copied into the
@@ -190,11 +191,20 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
+    # grads(g) gives one gradient per parent, None for none.  The closure adds them
+    # in itself, so a wrapper of ``_backward`` (a tracer's) may drop its return value.
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
+
+        # defaults, not free variables: cells would cost every untaped call of _node
+        def backward(g, parents=parents, grads=grads):
+            for p, gp in zip(parents, grads(g)):
+                if gp is not None:
+                    _accum(p, gp)
+
         out._backward = backward
     return out
 
@@ -221,36 +231,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 @_op
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 @_op
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 @_op
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)))
 
 
 @_op
@@ -259,23 +254,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node(data, (a, b), backward)
+    return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 @_op
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
-
-    def backward(g):
-        _accum(x, g * (data > 0))
-
-    return _node(data, (x,), backward)
+    return _node(data, (x,), lambda g: (g * (data > 0),))
 
 
 @_op
@@ -283,65 +268,41 @@ def sigmoid(x: Tensor) -> Tensor:
     # exp(-x) overflows to inf for very negative x, giving the exact limit 0
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        _accum(x, g * s * (1.0 - s))
-
-    return _node(s, (x,), backward)
+    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 @_op
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
-
-    def backward(g):
-        _accum(x, g * e)
-
-    return _node(e, (x,), backward)
+    return _node(e, (x,), lambda g: (g * e,))
 
 
 @_op
 def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
-
-    def backward(g):
-        _accum(x, g / x.data)
-
-    return _node(data, (x,), backward)
+    return _node(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 @_op
 def sqrt(x: Tensor) -> Tensor:
     r = np.sqrt(x.data)
-
-    def backward(g):
-        # subgradient guard at exactly zero
-        _accum(x, g * 0.5 / np.maximum(r, np.asarray(1e-12, dtype=r.dtype)))
-
-    return _node(r, (x,), backward)
+    # subgradient guard at exactly zero
+    return _node(r, (x,), lambda g: (g * 0.5 / np.maximum(r, np.asarray(1e-12, dtype=r.dtype)),))
 
 
 @_op
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
-
-    def backward(g):
-        _accum(x, g * mask)
-
-    return _node(data, (x,), backward)
+    return _node(np.clip(x.data, lo, hi), (x,), lambda g: (g * mask,))
 
 
 @_op
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
+    def grads(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.data.shape).copy())
+        return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _node(data, (x,), backward)
+    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), grads)
 
 
 @_op
@@ -353,22 +314,12 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 @_op
 def reshape(x: Tensor, shape) -> Tensor:
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _node(data, (x,), backward)
+    return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 @_op
 def transpose(x: Tensor, axes) -> Tensor:
-    data = x.data.transpose(axes)
-
-    def backward(g):
-        _accum(x, g.transpose(np.argsort(axes)))
-
-    return _node(data, (x,), backward)
+    return _node(x.data.transpose(axes), (x,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 @_op
@@ -376,12 +327,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - dot))
-
-    return _node(y, (x,), backward)
+    return _node(y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 @_op
@@ -511,11 +457,11 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
         flat = out.reshape(-1, len(p.bias_index))
         flat += bias.data[p.bias_index]
 
-    def backward(g):
+    def grads(g):
         gl = g.transpose(p.to_last)
         gmat = gl.reshape(-1, gl.shape[-1])
-        if bias is not None:  # a GEMV: numpy's column sum over (rows, O) is 10x slower
-            _accum(bias, np.ones(len(gmat), dtype=dtype) @ gmat)
+        # a GEMV: numpy's column sum over (rows, O) is 10x slower
+        gb = None if bias is None else np.ones(len(gmat), dtype=dtype) @ gmat
         if p.lead_taps is None:
             gymat = gmat
         else:
@@ -523,8 +469,9 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
             for dst, src in p.lead_taps:
                 gy[src] = gl[dst]
             gymat = gy.reshape(-1, p.gemm[1])
+        gx = gw = None
         if w.requires_grad:
-            _accum(w, (cols.T @ gymat).reshape(wt.shape).transpose(p.w_back))
+            gw = (cols.T @ gymat).reshape(wt.shape).transpose(p.w_back)
         if x.requires_grad:
             # tap-major (trailing taps, B, *rows, *So_trail, C), so each tap's block is contiguous
             gcols = (gymat @ wmat.reshape(-1, C, p.gemm[1]).transpose(0, 2, 1)).reshape(p.gcols_shape)
@@ -532,9 +479,10 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
             gxp = np.zeros_like(xp)
             for k, dst in enumerate(p.taps):
                 gxp[dst] += gcols[k]
-            _accum(x, gxp[p.inner].transpose(p.to_first))
+            gx = gxp[p.inner].transpose(p.to_first)
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
-    return _node(out.transpose(p.to_first), (x, w) if bias is None else (x, w, bias), backward)
+    return _node(out.transpose(p.to_first), (x, w) if bias is None else (x, w, bias), grads)
 
 
 @_op
@@ -584,12 +532,9 @@ def _adaptive_avg_pool(x: Tensor, bins: tuple[int, ...]) -> Tensor:
     # so a spatial axis pooled to one bin shrinks the data before the time axis
     mats = [_pool_matrix(n, b, x.data.dtype) for n, b in zip(x.data.shape[-len(bins):], bins)]
     steps = list(zip(range(-len(bins), 0), mats))[::-1]
-    data = _contract(x.data, steps)
-
-    def backward(g):  # the transposes in reverse order: the small gradient grows last
-        _accum(x, _contract(g, [(axis, m.T) for axis, m in reversed(steps)]))
-
-    return _node(data, (x,), backward)
+    # the backward applies the transposes in reverse order: the small gradient grows last
+    return _node(_contract(x.data, steps), (x,),
+                 lambda g: (_contract(g, [(axis, m.T) for axis, m in reversed(steps)]),))
 
 
 @_op

@@ -33,7 +33,7 @@ def rms_series(pair: AVPair) -> np.ndarray:
 
 
 def test_determinism_bit_identical():
-    cfg = SynthConfig(t_v=16, t_a=1600, seed=7)
+    cfg = SynthConfig(t_v=16, t_a=1600)
     a = synth_real_pair(cfg, substream(7, "sample", 0))
     b = synth_real_pair(cfg, substream(7, "sample", 0))
     assert a.visual.data.tobytes() == b.visual.data.tobytes()
@@ -166,6 +166,15 @@ def test_load_pair_validates_stored_pair(tmp_path):
     path = tmp_path / "pair.avtc"
     save_pair(path, pair)
     with pytest.raises(ConfigError, match="pair.avtc: visual samples must be finite and in"):
+        load_pair(path)
+
+
+def test_load_pair_rejects_audio_not_a_multiple_of_the_frames(tmp_path):
+    pair = synth_real_pair(SynthConfig(t_v=8, t_a=320), substream(71, "io"))
+    pair.audio = AudioClip(np.zeros(321, np.float32))
+    path = tmp_path / "pair.avtc"
+    save_pair(path, pair)
+    with pytest.raises(ConfigError, match="pair.avtc: audio length 321 must be a multiple of the frame count 8"):
         load_pair(path)
 
 

@@ -523,7 +523,7 @@ def test_residual_branch_unlike_its_shortcut_exits_one(tiny_config_file, tmp_pat
     [
         (["gradcheck", "--seed", "-1"], "gradcheck needs seed >= 0, got -1"),
         (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
-        (["synth", "--set", "synth.seed=-1"], "synth seed must be >= 0, got -1"),
+        (["synth", "--set", "synth.seed=-1"], "unknown key synth.seed"),  # no such key: pairs take the run's seed
         (["train", "--set", "seed=-2"], "seed must be >= 0, got -2"),
         (["ablate", "--axis", "attention", "--seeds", "[0, -1]"], "--seeds must be >= 0, got [0, -1]"),
     ],

@@ -209,6 +209,31 @@ def test_backward_frees_the_activations():
     assert len(refs) == 59 and alive == {id(t.data) for t in (loss, y, dmap, amap)}
 
 
+def test_closures_accumulate_so_a_wrapper_may_drop_their_return():
+    # a tracer that wraps each node's closure and returns None, as perfbench's does,
+    # leaves every parameter gradient bit-identical
+    v, a = rand_inputs(substream(0, "wrapped"))
+    labels = np.array([0.0, 1.0], np.float32)
+
+    def dropping(closure):
+        def backward(g):
+            closure(g)
+
+        return backward
+
+    def param_grads(wrap):
+        m = toy_model()
+        y, _, _ = m.forward(v, a)
+        loss = tn.bce_loss(y, labels)
+        if wrap:
+            for node in tape_nodes(loss):
+                node._backward = dropping(node._backward)
+        loss.backward()
+        return [(name, p.grad.tobytes()) for name, p in m.params()]
+
+    assert param_grads(wrap=True) == param_grads(wrap=False)
+
+
 def test_train_steps_do_not_hold_the_last_tape():
     # step k's forward runs while y and loss still name step k-1's: three steps
     # need little more memory than one

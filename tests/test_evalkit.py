@@ -289,6 +289,13 @@ def test_evaluate_rejects_windows_the_detector_does_not_fit():
         evaluate(model, eval_set, SubsequencePolicy(length=8))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    pairs = [_stub_pair([0.8] * 4, "fake"), _stub_pair([0.2] * 4, "real")]
+    with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+        evaluate(_StubModel(), pairs, batch_size=batch_size)
+
+
 def test_ablation_table_structure_t_prime():
     cfg = tiny_run_config(epochs=1)
     cfg.train_data = DataSpec(n=12)
@@ -309,6 +316,15 @@ def test_ablation_checks_every_variant_fits_before_training(monkeypatch):
     with pytest.raises(ConfigError, match=r"does not fit t_prime value 16 on clips of 8 frames: adaptive pool"):
         ablation_run(tiny_run_config(), "t_prime", values=[2, 16], seeds=(0,))
     assert trained == []
+
+
+def test_ablation_rejects_empty_seeds(monkeypatch):
+    built = []
+    monkeypatch.setattr(evalkit, "Detector", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(evalkit, "train", lambda *args: built.append(args))
+    with pytest.raises(ConfigError, match="ablation needs at least one seed"):
+        ablation_run(tiny_run_config(), "attention", seeds=())
+    assert built == []
 
 
 def test_ablation_attention_axis_two_rows():
