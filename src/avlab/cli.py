@@ -199,7 +199,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_suite(seed=args.seed or 0, instances=args.instances)
+    results = gradcheck.run_suite(seed=args.seed, instances=args.instances)
     print(gradcheck.format_report(results))
     if not gradcheck.suite_passed(results):
         print("gradient check FAILED", file=sys.stderr)

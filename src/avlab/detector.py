@@ -135,7 +135,7 @@ def _prefixed(named_layers) -> list:
 
 
 class _ResBlock3d:
-    def __init__(self, c_in, c_out, kernel, stride, rng, dtype):
+    def __init__(self, c_in, c_out, kernel, stride, *, rng, dtype):
         self.conv1 = Conv3d(c_in, c_out, kernel, stride, rng=rng, dtype=dtype)
         self.conv2 = Conv3d(c_out, c_out, kernel, (1, 1, 1), rng=rng, dtype=dtype)
         if c_in == c_out and tuple(stride) == (1, 1, 1):
@@ -186,11 +186,10 @@ class Detector:
         self.visual_layers = []
         c_in = config.visual_in_channels
         for spec in config.visual_blocks:
-            kernel, stride = tuple(spec["kernel"]), tuple(spec["stride"])
-            if spec.get("type", "conv") == "res":
-                self.visual_layers.append(("res", _ResBlock3d(c_in, spec["out"], kernel, stride, rng, dtype)))
-            else:
-                self.visual_layers.append(("conv", Conv3d(c_in, spec["out"], kernel, stride, rng=rng, dtype=dtype)))
+            kind = spec.get("type", "conv")
+            block = _ResBlock3d if kind == "res" else Conv3d
+            self.visual_layers.append((kind, block(c_in, spec["out"], tuple(spec["kernel"]), tuple(spec["stride"]),
+                                                   rng=rng, dtype=dtype)))
             c_in = spec["out"]
 
         self.audio_layers = []

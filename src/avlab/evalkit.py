@@ -289,10 +289,10 @@ def ablation_run(
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
-    mean AUC on both synthetic eval splits.  An empty ``seeds`` raises
-    ConfigError before anything is built or trained."""
-    if not seeds:
-        raise ConfigError("ablation needs at least one seed")
+    mean AUC on both synthetic eval splits.  An empty ``seeds`` or a
+    negative seed raises ConfigError before anything is built or trained."""
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"ablation needs at least one seed, all >= 0, got {list(seeds)}")
     defaults = default_axis_values(base_cfg, axis)
     variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
     for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training

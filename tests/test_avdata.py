@@ -89,23 +89,31 @@ def test_value_ranges_random_configs():
             pair.validate()  # finite + range invariants
 
 
-def test_local_desync_outside_chunk_bitwise_equal():
+@pytest.mark.parametrize("mode", ["local_desync", "global_desync"])
+def test_local_desync_outside_chunk_bitwise_equal(mode):
+    # a global fake's "chunk" is its whole audio track: its video is the real twin's, bit for bit
     cfg = SynthConfig(noise_std=0.05)
     for k in range(20):
         real = synth_real_pair(cfg, substream(40, "loc", k))
-        fake = synth_fake_pair(cfg, "local_desync", substream(40, "loc", k))
+        fake = synth_fake_pair(cfg, mode, substream(40, "loc", k))
         specs = fake.meta.visual_manipulations + fake.meta.audio_manipulations
-        assert len(specs) == 1
-        spec = specs[0]
-        if fake.meta.visual_manipulations:
-            changed, keep = fake.visual.data, real.visual.data
-            assert np.array_equal(fake.audio.data, real.audio.data)
-        else:
+        if mode == "global_desync":
+            assert specs == []
+            i, l = 0, cfg.t_a
             changed, keep = fake.audio.data, real.audio.data
             assert np.array_equal(fake.visual.data, real.visual.data)
-        assert np.array_equal(changed[: spec.i], keep[: spec.i])
-        assert np.array_equal(changed[spec.i + spec.l :], keep[spec.i + spec.l :])
-        assert not np.array_equal(changed[spec.i : spec.i + spec.l], keep[spec.i : spec.i + spec.l])
+        else:
+            assert len(specs) == 1
+            i, l = specs[0].i, specs[0].l
+            if fake.meta.visual_manipulations:
+                changed, keep = fake.visual.data, real.visual.data
+                assert np.array_equal(fake.audio.data, real.audio.data)
+            else:
+                changed, keep = fake.audio.data, real.audio.data
+                assert np.array_equal(fake.visual.data, real.visual.data)
+        assert np.array_equal(changed[:i], keep[:i])
+        assert np.array_equal(changed[i + l :], keep[i + l :])
+        assert not np.array_equal(changed[i : i + l], keep[i : i + l])
 
 
 def test_local_desync_full_chunk_replaces_whole_envelope():

@@ -318,12 +318,13 @@ def test_ablation_checks_every_variant_fits_before_training(monkeypatch):
     assert trained == []
 
 
-def test_ablation_rejects_empty_seeds(monkeypatch):
+@pytest.mark.parametrize("seeds", [(), (0, -1)], ids=["empty", "negative"])
+def test_ablation_rejects_empty_seeds(monkeypatch, seeds):
     built = []
     monkeypatch.setattr(evalkit, "Detector", lambda *args, **kwargs: built.append(args))
     monkeypatch.setattr(evalkit, "train", lambda *args: built.append(args))
     with pytest.raises(ConfigError, match="ablation needs at least one seed"):
-        ablation_run(tiny_run_config(), "attention", seeds=())
+        ablation_run(tiny_run_config(), "attention", seeds=seeds)
     assert built == []
 
 

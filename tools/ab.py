@@ -2,7 +2,7 @@
 
 Usage, from anywhere inside a checkout::
 
-    python3 tools/ab.py REV_A REV_B --workload {train,score,gradcheck} \\
+    python3 tools/ab.py REV_A REV_B --workload {train,score,dataset,gradcheck} \\
         [--rounds N] [--seed S] [--out FILE]
 
 Each revision is exported with ``git archive`` into a temporary directory
@@ -15,8 +15,11 @@ At round ``rounds // 2`` both workers stop and are spawned again in the
 swapped order (A's worker first in the first half, B's in the second), so
 each revision serves half the rounds from each spawn slot and a bias of
 the slot falls on both sides alike too.
-Units are timed in wall time inside the worker, with BLAS pinned to one
-thread, and checked outside the timed region.
+Units are timed inside the worker, with BLAS pinned to one thread, and
+checked outside the timed region.  The clock is the one
+``perfbench/run.py`` uses: user CPU time for a workload that sets
+``user_clock`` (dataset, whose file creation costs a system time that
+follows the host's disk more than avlab), wall time for the others.
 
 The ratio of a round is B's unit time over A's: below 1 means B was
 faster.  The script prints, and writes as JSON to ``--out`` if given (the
@@ -41,6 +44,7 @@ import gc  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
+import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tarfile  # noqa: E402
@@ -51,7 +55,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD_NAMES = ("train", "score", "gradcheck")
+WORKLOAD_NAMES = ("train", "score", "dataset", "gradcheck")
 BOOTSTRAP_SAMPLES = 2000
 
 
@@ -81,6 +85,10 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def _user_time() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
 def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
     """Worker: set up ``workload`` from ``tree``, then time one unit per received index until None."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
@@ -88,12 +96,13 @@ def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
 
     wl = WORKLOADS[workload](seed, False, Path(scratch))
     wl.setup()
+    clock = _user_time if wl.user_clock else time.perf_counter
     j = -1  # the warm-up unit; the driver drops its time
     while j is not None:
         gc.collect()
-        t = time.perf_counter()
+        t = clock()
         out = wl.unit(j)
-        dt = time.perf_counter() - t
+        dt = clock() - t
         problems = wl.check(out)
         wl.release(out)
         conn.send((dt, problems))
