@@ -26,6 +26,7 @@ from .pseudofake import ChunkParams, ManipulationSpec, apply_manipulation, sampl
 from .rng import substream
 
 LABELS = ("real", "fake")
+FAKE_MODES = ("global_desync", "local_desync")  # the generator's ways of making a fake pair
 
 # Carrier tone for the audio track, in cycles per waveform sample.  The
 # period (20 samples) divides the samples-per-frame ratio for the stock
@@ -225,13 +226,11 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
             ManipulationSpec(kind="replace", i=i * spf, l=l * spf, donor_id="independent-envelope")
         )
 
-    # Each step drops the previous array, and the clip is done before the
-    # audio starts: where a dataset's arrays land on the heap sets the speed
-    # of later training steps, and keeping the frames alive through the audio
-    # made train units 9-16% slower (tools/ab.py, 2-vCPU VM).
-    visual = envs["visual"][:, None, None, None].astype(np.float32) * blob.astype(np.float32)[None, None, :, :]
-    visual = visual + np.float32(cfg.noise_std) * noise_v
-    visual = VisualClip(np.clip(visual, 0.0, 1.0).astype(np.float32))
+    # The frames are built in the noise draw's buffer, with no temporary the size
+    # of the clip: noise * std + envelope * blob, clipped to [0, 1], in float32.
+    np.multiply(noise_v, np.float32(cfg.noise_std), out=noise_v)
+    noise_v += envs["visual"][:, None, None, None].astype(np.float32) * blob.astype(np.float32)[None, None, :, :]
+    visual = VisualClip(np.clip(noise_v, 0.0, 1.0, out=noise_v))
 
     e_up = np.repeat(envs["audio"], cfg.samples_per_frame)  # zero-order hold keeps chunk edges exact
     theta = 2.0 * np.pi * CARRIER_CYCLES_PER_SAMPLE * np.arange(cfg.t_a)
@@ -241,7 +240,7 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
     wave = (e_up * carrier).astype(np.float32)
     return AVPair(
         visual=visual,
-        audio=AudioClip(np.clip(wave, -1.0, 1.0).astype(np.float32)),
+        audio=AudioClip(np.clip(wave, -1.0, 1.0, out=wave)),
         label="real" if origin == "real" else "fake",
         meta=meta,
     )
@@ -272,7 +271,7 @@ def synth_fake_pair(
     the same rng state.  So is a ``global_desync`` fake's visual clip.
     """
     cfg.validate()
-    if mode not in ("global_desync", "local_desync"):
+    if mode not in FAKE_MODES:
         raise ConfigError(f"unknown fake mode {mode!r}")
     return _synth(cfg, mode, rng, chunk, source_id)
 

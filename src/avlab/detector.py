@@ -227,6 +227,7 @@ class Detector:
                 f"visual input must be (B, T, {self.config.visual_in_channels}, H, W), got {x.shape}"
             )
         h = Tensor(x.transpose(0, 2, 1, 3, 4))  # a view: the stem's pad copy does the transpose
+        del x  # the stem's node does not hold it either, so the clip batch dies after the stem
         for kind, layer in self.visual_layers:
             h = layer(h) if kind == "res" else tn.relu(layer(h))
         h = tn.adaptive_avg_pool3d(h, (self.config.t_prime, 1, 1))
@@ -254,6 +255,7 @@ class Detector:
     def forward(self, visual, audio) -> tuple[Tensor, Tensor, Tensor]:
         """Batched forward; returns (fake probability, distance map, attention map)."""
         fv = self.extract_visual(visual)
+        del visual  # the tape holds no clip batch: a caller that drops its own frees it here
         fa = self.extract_audio(audio)
         m = distance_map(fv, fa)
         if self.config.attention:

@@ -2,7 +2,9 @@
 
 Every op gives its output, its inputs and a gradient formula that maps
 the output's gradient to one gradient per input, None for an input that
-needs none; the tape node adds them into the inputs.
+needs none; the tape node adds them into the inputs.  The node holds
+only the inputs that take a gradient, and what its formula reads, so a
+training step's tape does not keep the clip batch alive.
 ``Tensor.backward()`` walks the tape in reverse topological order.  The
 walk consumes the tape: once a node's closure has run, the node drops
 its closure, its parents and its gradient, so a training step does not
@@ -33,7 +35,10 @@ or the GEMM: each tap adds its partial outputs into the output frames it
 reaches, through an output slice and a source slice, and a tap that
 reaches every output frame goes first as a copy.  With kt = 1, and for
 conv1d, every axis is a trailing one and the GEMM result is the output.
-An optional (O,) ``bias`` is added in place in the same tape node.  Each
+An optional (O,) ``bias`` is added in place in the same tape node.  The
+padded input lives only until the column matrix is copied from it (with
+a 1x1 stride-1 kernel the columns are a view that keeps it); the backward
+allocates the padded input gradient from the planned shape.  Each
 call's geometry (output sizes, padded shape, index tuples, tap slices,
 permutations and the byte strides of the column view) is planned once
 per (shapes, stride, padding, itemsize) and cached.
@@ -198,11 +203,14 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
+        # the closure holds only the parents it adds into: an input that takes no
+        # gradient (a clip batch) dies with its caller's last reference
+        targets = tuple(p if p.requires_grad else None for p in parents)
 
         # defaults, not free variables: cells would cost every untaped call of _node
-        def backward(g, parents=parents, grads=grads):
-            for p, gp in zip(parents, grads(g)):
-                if gp is not None:
+        def backward(g, targets=targets, grads=grads):
+            for p, gp in zip(targets, grads(g)):
+                if p is not None and gp is not None:
                     _accum(p, gp)
 
         out._backward = backward
@@ -437,6 +445,7 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
     dtype = np.result_type(x.data, w.data)  # the GEMM's dtype, whose itemsize the plan's strides assume
     p = _conv_plan(x.data.shape, w.data.shape, stride, padding, dtype.itemsize)
     C = x.data.shape[1]
+    need_gx, need_gw = x.requires_grad, w.requires_grad  # read here, so the closure holds neither
 
     xp = np.zeros(p.xp_shape, dtype=dtype)
     if x.data.strides[1] == x.data.itemsize:  # channels innermost in memory: one copy
@@ -446,6 +455,9 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
             xp[(*p.inner, c)] = x.data[:, c]
     # a strided view that numpy checks against xp's size, unlike as_strided
     cols = np.ndarray(p.cols_shape, dtype, buffer=xp, offset=0, strides=p.cols_strides).reshape(-1, p.gemm[0])
+    # the reshape copied the windows, unless they are a view of xp (1x1 stride-1 kernels),
+    # which then keeps xp's buffer alive itself; the backward needs only xp's shape
+    del xp
     wt = w.data.transpose(p.w_axes)
     wmat = wt.reshape(p.gemm)
     out = y = (cols @ wmat).reshape(p.y_shape)
@@ -470,13 +482,12 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
                 gy[src] = gl[dst]
             gymat = gy.reshape(-1, p.gemm[1])
         gx = gw = None
-        if w.requires_grad:
+        if need_gw:
             gw = (cols.T @ gymat).reshape(wt.shape).transpose(p.w_back)
-        if x.requires_grad:
+        if need_gx:
             # tap-major (trailing taps, B, *rows, *So_trail, C), so each tap's block is contiguous
             gcols = (gymat @ wmat.reshape(-1, C, p.gemm[1]).transpose(0, 2, 1)).reshape(p.gcols_shape)
-            # keep xp in the closure: freeing it per step made glibc trim and re-fault the heap (65K faults/epoch)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(p.xp_shape, dtype)  # allocated here: the step holds no padded input for it
             for k, dst in enumerate(p.taps):
                 gxp[dst] += gcols[k]
             gx = gxp[p.inner].transpose(p.to_first)

@@ -11,20 +11,30 @@ The loop is plain Adam on mean BCE; the checkpoint kept is the epoch
 with the lowest mean per-sample training loss (ties break to the
 earliest epoch).
 
+A step holds only what its backward reads: the stacked clips go straight
+into the forward and the batch's pseudo-fakes are dropped before the
+backward, which frees the step's tape.  So that freed steps are reused,
+not handed back to the kernel and faulted in by the next forward,
+:func:`train` pins glibc's mmap and trim thresholds once per process (a
+no-op off glibc); the process keeps that heap after training.
+
 :class:`RunConfig` is read from JSON by :func:`avlab.schema.decode`: an
 unknown key or a wrong-typed value is a ``ConfigError`` naming its path.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .avdata import AVPair, SynthConfig, apply_to_pair, check_uniform
+from .avdata import FAKE_MODES, AVPair, SynthConfig, apply_to_pair, check_uniform
 from .detector import Detector, DetectorConfig, must_fit, save_checkpoint
 from .errors import ChunkRejected, ConfigError, DivergenceError
 from .pseudofake import KINDS, ChunkParams, check_weights, sample_manipulation
@@ -34,6 +44,13 @@ from .tinynet import Adam
 from .tinynet.tensor import BCE_EPS, bce_loss
 
 COMBOS = ("audio", "visual", "both")  # which modality is replaced by a pseudo-fake
+
+# mallopt(3) parameters of glibc's malloc.h, and the values train() sets once per
+# process: every step frees its tape, and with glibc's defaults the freed heap top
+# goes back to the kernel and the next forward faults it in again.  Arrays up to
+# 32 MiB then come from the heap, which keeps up to 512 MiB of free top untrimmed.
+M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 32 << 20
+M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 512 << 20
 
 
 @dataclass
@@ -49,7 +66,7 @@ class DataSpec:
             raise ConfigError(f"dataset size must be >= 1, got {self.n}")
         if not (0.0 <= self.fake_fraction <= 1.0):
             raise ConfigError(f"fake_fraction must lie in [0, 1], got {self.fake_fraction}")
-        if self.fake_mode not in ("global_desync", "local_desync"):
+        if self.fake_mode not in FAKE_MODES:
             raise ConfigError(f"unknown fake_mode {self.fake_mode!r}")
 
 
@@ -194,6 +211,20 @@ class TrainResult:
         self.write_metrics(out / "metrics.jsonl")
 
 
+@functools.cache
+def _pin_heap() -> None:
+    """Set glibc's mmap and trim thresholds once per process; a no-op off glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc without this name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
     """Run the optimization protocol and return the lowest-loss checkpoint.
 
@@ -214,6 +245,7 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
             "(dataset fakes or pseudo_fake_prob > 0)"
         )
 
+    _pin_heap()
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
     with must_fit(f"train pair {train_set[0].meta.source_id!r}"):  # one tape-free forward before training
         model.infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
@@ -234,19 +266,16 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
         counters: dict[str, int] = {}
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             ids = order[start : start + cfg.batch_size]
-            batch = []
-            for j in ids:
-                p = train_set[int(j)]
-                if p.label == "real":
-                    q = augment_sample(p, donors, cfg, substream(cfg.seed, "aug", epoch, int(j)), counters)
-                else:
-                    q = p
-                batch.append(q)
-            visuals = np.stack([s.visual.data for s in batch])
-            audios = np.stack([s.audio.data for s in batch])
+            batch = [
+                augment_sample(p, donors, cfg, substream(cfg.seed, "aug", epoch, int(j)), counters)
+                if p.label == "real" else p
+                for j in ids for p in (train_set[int(j)],)
+            ]
             labels = np.array([1.0 if s.label == "fake" else 0.0 for s in batch], dtype=np.float32)
-
-            y, _, _ = model.forward(visuals, audios)
+            # no name holds the stacked clips, and the pseudo-fakes go before the backward:
+            # the step keeps only what its backward reads
+            y, _, _ = model.forward(np.stack([s.visual.data for s in batch]), np.stack([s.audio.data for s in batch]))
+            del batch
             loss = bce_loss(y, labels)
             lv = float(loss.data)
             if not math.isfinite(lv):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +206,20 @@ def test_second_backward_raises_and_keeps_leaf_grads():
     tn.tsum(h).backward()
     with pytest.raises(RuntimeError, match="consumed"):
         tn.tsum(tn.mul(h, h)).backward()
+
+
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 1, 1)], ids=["3x3x3", "1x1x1"])
+def test_taped_conv_keeps_no_input_that_takes_no_gradient(kernel):
+    # a clip batch fed to a stem conv dies once the caller drops it, though the taped output lives
+    rng = np.random.default_rng(0)
+    clip = rng.standard_normal((2, 3, 4, 6, 6)).astype(np.float32)
+    ref = weakref.ref(clip)
+    w = Tensor(rng.standard_normal((4, 3, *kernel)).astype(np.float32), requires_grad=True)
+    out = tn.conv3d(Tensor(clip), w, padding=tuple(k // 2 for k in kernel))
+    del clip
+    assert ref() is None and out.requires_grad
+    tn.tsum(out).backward()  # the weight gradient needs only the columns
+    assert w.grad.shape == w.data.shape and np.isfinite(w.grad).all()
 
 
 def test_adam_zero_grad_no_move():

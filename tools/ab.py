@@ -16,7 +16,9 @@ swapped order (A's worker first in the first half, B's in the second), so
 each revision serves half the rounds from each spawn slot and a bias of
 the slot falls on both sides alike too.
 Units are timed inside the worker, with BLAS pinned to one thread, and
-checked outside the timed region.  The clock is the one
+checked outside the timed region; the worker also counts the minor page
+faults (``ru_minflt``) each timed unit takes, which show heap churn: memory
+the allocator handed back to the kernel and the next unit faulted in again.  The clock is the one
 ``perfbench/run.py`` uses: user CPU time for a workload that sets
 ``user_clock`` (dataset, whose file creation costs a system time that
 follows the host's disk more than avlab), wall time for the others.
@@ -25,7 +27,8 @@ The ratio of a round is B's unit time over A's: below 1 means B was
 faster.  The script prints, and writes as JSON to ``--out`` if given (the
 last stdout line is the same JSON object), the median ratio, a bootstrap
 95% interval of that median, the interquartile range of the round ratios
-and how many rounds each side won; ``halves`` holds each half's median
+and how many rounds each side won; each side's ``minflt_median`` and
+``minflt_max`` are its minor faults per unit; ``halves`` holds each half's median
 ratio and win counts, which agree when the spawn slot does not matter.
 Resolution comes from many short interleaved rounds: one round's ratio
 spreads by several percent.
@@ -45,6 +48,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tarfile  # noqa: E402
@@ -89,6 +93,10 @@ def _user_time() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_utime
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
     """Worker: set up ``workload`` from ``tree``, then time one unit per received index until None."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
@@ -100,12 +108,14 @@ def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
     j = -1  # the warm-up unit; the driver drops its time
     while j is not None:
         gc.collect()
+        faults = _minor_faults()
         t = clock()
         out = wl.unit(j)
         dt = clock() - t
+        faults = _minor_faults() - faults
         problems = wl.check(out)
         wl.release(out)
-        conn.send((dt, problems))
+        conn.send((dt, faults, problems))
         j = conn.recv()
 
 
@@ -162,7 +172,7 @@ def run(args) -> dict:
             tree, scratch = Path(tmp) / side, Path(tmp) / f"{side}-scratch"
             scratch.mkdir()
             trees[side] = (tree, scratch)
-            sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "failed": 0}
+            sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "faults": [], "failed": 0}
         for order, start, end in halves:
             workers = []
             try:
@@ -170,13 +180,14 @@ def run(args) -> dict:
                     workers.append(_start(ctx, side, trees, args))
                 workers.sort()  # the rounds address them A, B
                 for side, conn, _ in workers:  # the warm-up units
-                    _, problems = conn.recv()
+                    _, _, problems = conn.recv()
                     sides[side]["failed"] += bool(problems)
                 for j in range(start, end):
                     for side, conn, _ in workers if j % 2 == 0 else workers[::-1]:
                         conn.send(j)
-                        dt, problems = conn.recv()
+                        dt, faults, problems = conn.recv()
                         sides[side]["times"].append(dt)
+                        sides[side]["faults"].append(faults)
                         sides[side]["failed"] += bool(problems)
                         if problems:
                             print(f"check failed, {side} round {j}: {'; '.join(problems)}", file=sys.stderr)
@@ -186,7 +197,8 @@ def run(args) -> dict:
     for side, info in sides.items():
         q25, median, q75 = _quantiles(info["times"])
         result[side] = {"rev": info["rev"], "commit": info["commit"], "unit_s_median": median,
-                        "unit_s_quartiles": [q25, q75], "failed": info["failed"]}
+                        "unit_s_quartiles": [q25, q75], "failed": info["failed"],
+                        "minflt_median": statistics.median_low(info["faults"]), "minflt_max": max(info["faults"])}
     result.update(summarize(sides["a"]["times"], sides["b"]["times"]))
     result["halves"] = []
     for order, start, end in halves:
@@ -206,6 +218,8 @@ def main(argv=None) -> int:
     print(f"B/A time ratio: median {result['median_ratio']:.4f}, 95% interval "
           f"[{result['ci95'][0]:.4f}, {result['ci95'][1]:.4f}], round IQR {result['ratio_iqr']:.4f}; "
           f"B faster in {result['b_wins']}, A faster in {result['a_wins']}")
+    print(f"minor faults per unit, median (max): A {a['minflt_median']} ({a['minflt_max']}), "
+          f"B {b['minflt_median']} ({b['minflt_max']})")
     for h in result["halves"]:
         print(f"rounds {h['rounds'][0]}-{h['rounds'][1] - 1}, {h['spawned_first'].upper()} spawned first: "
               f"median {h['median_ratio']:.4f}; B faster in {h['b_wins']}, A faster in {h['a_wins']}")
