@@ -183,15 +183,11 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     values = json.loads(args.values) if args.values else None
-    seeds = json.loads(args.seeds) if args.seeds else [0, 1, 2]
     if values is not None and not isinstance(values, list):
         raise ConfigError(f"--values must be a JSON list, got {args.values}")
-    if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
-        raise ConfigError(f"--seeds must be a nonempty JSON list of ints, got {args.seeds}")
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be >= 0, got {args.seeds}")
+    seeds = evalkit.check_seeds(json.loads(args.seeds) if args.seeds else [0, 1, 2], "--seeds")
     cfg, out = _prologue(args)
-    table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=tuple(seeds))
+    table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
     (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")
     print(table.to_text())

@@ -173,7 +173,7 @@ def attention_map(fv: Tensor, fa: Tensor, proj_v: Conv1d, proj_a: Conv1d, c_prim
     pv = proj_v(tn.transpose(fv, (0, 2, 1)))  # (B, C'/4, T')
     pa = proj_a(tn.transpose(fa, (0, 2, 1)))
     scores = tn.mul(tn.tsum(tn.mul(pa, pv), axis=1), 1.0 / c_prime)  # (B, T')
-    return tn.softmax(scores, axis=1)
+    return tn.softmax(scores)
 
 
 class Detector:
@@ -301,8 +301,9 @@ def save_checkpoint(path, model: Detector, extra_meta: dict[str, str] | None = N
     container.write_container(path, tensors, meta)
 
 
-def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
-    """Rebuild a saved model; a stale ``config_hash`` or a missing, extra or wrong-shaped tensor is a ConfigError."""
+def load_checkpoint(path) -> tuple[Detector, dict[str, str]]:
+    """Rebuild a saved model in float32; a stale ``config_hash`` or a missing, extra or
+    wrong-shaped tensor is a ConfigError."""
     tensors, meta = container.read_container(path)
     if "detector_config" not in meta:
         raise ConfigError(f"{path}: checkpoint meta has no detector_config entry")
@@ -312,7 +313,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
         raise ConfigError(f"{path}: {exc}") from exc
     if meta.get("config_hash") != config.hash():
         raise ConfigError(f"{path}: checkpoint config_hash {meta.get('config_hash')!r} != {config.hash()!r}")
-    model = Detector(config, seed=0, dtype=dtype)
+    model = Detector(config, seed=0)
     extra = sorted(set(tensors) - {name for name, _ in model.params()})
     if extra:
         raise ConfigError(f"{path}: checkpoint holds tensors the model has no parameter for: {extra}")
@@ -323,7 +324,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[Detector, dict[str, str]]:
             raise ConfigError(
                 f"{path}: checkpoint parameter {name!r} has shape {tensors[name].shape}, expected {t.data.shape}"
             )
-        t.data = tensors[name].astype(dtype)
+        t.data = tensors[name]  # read_container returns fresh float32 arrays
     return model, meta
 
 
@@ -367,7 +368,7 @@ def full_model_gradcheck(seed: int = 0, instance: int = 0) -> float:
         visual = rng.uniform(0.0, 1.0, size=(1, 6, 1, 6, 6))
         audio = rng.uniform(-1.0, 1.0, size=(1, 16))
         label = np.array([float(rng.integers(0, 2))])
-        with tn.track_kinks() as distances:
+        with tn.no_grad(), tn.track_kinks() as distances:  # the kinks need no tape
             loss()
         if min(distances) > gc.MODEL_KINK_MARGIN:
             break

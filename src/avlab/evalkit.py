@@ -282,6 +282,16 @@ class AblationTable:
         return "\n".join(lines)
 
 
+def check_seeds(seeds, name: str = "seeds") -> tuple[int, ...]:
+    """The ablation seed rule: a nonempty list or tuple of ints (not bools), each >= 0;
+    ConfigError naming ``name`` otherwise."""
+    if not (isinstance(seeds, (list, tuple)) and seeds and all(type(s) is int for s in seeds)):
+        raise ConfigError(f"{name} must be a nonempty list of ints, got {seeds!r}")
+    if min(seeds) < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seeds!r}")
+    return tuple(seeds)
+
+
 def ablation_run(
     base_cfg: RunConfig,
     axis: str,
@@ -289,10 +299,9 @@ def ablation_run(
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
-    mean AUC on both synthetic eval splits.  An empty ``seeds`` or a
-    negative seed raises ConfigError before anything is built or trained."""
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"ablation needs at least one seed, all >= 0, got {list(seeds)}")
+    mean AUC on both synthetic eval splits.  Seeds that break
+    :func:`check_seeds` raise ConfigError before anything is built or trained."""
+    seeds = check_seeds(seeds)
     defaults = default_axis_values(base_cfg, axis)
     variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
     for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training
@@ -304,12 +313,12 @@ def ablation_run(
     for value, variant in variants:
         per_seed = {"in_distribution": [], "fine_grained": []}
         for seed in seeds:
-            cfg = replace(variant, seed=int(seed), checkpoint_dir=None)
-            train_set = list(split_pairs(cfg, "train", derive_seed(int(seed), "train-data")))
+            cfg = replace(variant, seed=seed, checkpoint_dir=None)
+            train_set = list(split_pairs(cfg, "train", derive_seed(seed, "train-data")))
             result = train(cfg, train_set)
             policy = SubsequencePolicy(length=cfg.synth.t_v)
             for split in SPLITS:
-                eval_set = list(split_pairs(cfg, split, derive_seed(int(seed), "eval", split)))
+                eval_set = list(split_pairs(cfg, split, derive_seed(seed, "eval", split)))
                 per_seed[split].append(evaluate(result.model, eval_set, policy).auc)
         table.rows.append(
             {

@@ -28,15 +28,15 @@ def _key_to_int(key) -> int:
     raise TypeError(f"substream keys must be int or str, got {type(key).__name__}")
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(_key_to_int(k) for k in path))
+
+
 def substream(seed: int, *path) -> np.random.Generator:
     """Return a generator for the stream identified by ``(seed, *path)``."""
-    spawn_key = tuple(_key_to_int(k) for k in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path) -> int:
     """Collapse ``(seed, *path)`` to a single 63-bit integer seed."""
-    spawn_key = tuple(_key_to_int(k) for k in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0] >> 1)

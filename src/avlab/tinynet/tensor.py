@@ -189,13 +189,6 @@ def _consumed(g) -> None:
     raise RuntimeError("backward() through a graph that an earlier backward() consumed")
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype)
-    return Tensor(arr)
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
     # grads(g) gives one gradient per parent, None for none.  The closure adds them
     # in itself, so a wrapper of ``_backward`` (a tracer's) may drop its return value.
@@ -211,15 +204,10 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
         def backward(g, targets=targets, grads=grads):
             for p, gp in zip(targets, grads(g)):
                 if p is not None and gp is not None:
-                    _accum(p, gp)
+                    p.grad = gp if p.grad is None else p.grad + gp
 
         out._backward = backward
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -251,7 +239,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 @_op
 def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
     return _node(a.data * b.data, (a, b),
                  lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)))
 
@@ -304,20 +293,19 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 @_op
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor, axis=None) -> Tensor:
     def grads(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), grads)
+    return _node(x.data.sum(axis=axis), (x,), grads)
 
 
 @_op
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    s = tsum(x, axis=axis, keepdims=keepdims)
-    return mul(s, 1.0 / n)
+def mean(x: Tensor) -> Tensor:
+    """Mean over every element."""
+    return mul(tsum(x), 1.0 / x.data.size)
 
 
 @_op
@@ -331,11 +319,11 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 @_op
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    return _node(y, (x,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _node(y, (x,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 @_op
@@ -347,7 +335,7 @@ def bce_loss(y_pred: Tensor, y_true: np.ndarray) -> Tensor:
         raise ShapeError(f"bce_loss: predictions {y_pred.shape} vs labels {y.shape}")
     p = clip(y_pred, BCE_EPS, 1.0 - BCE_EPS)
     pos = mul(log(p), y)
-    neg = mul(log(sub(_as_tensor(np.asarray(1.0, dtype=y_pred.dtype)), p)), 1.0 - y)
+    neg = mul(log(sub(Tensor(np.asarray(1.0, dtype=y_pred.dtype)), p)), 1.0 - y)
     return mul(mean(add(pos, neg)), -1.0)
 
 

@@ -190,7 +190,6 @@ class TrainResult:
     best_loss: float
     metrics: list[dict]
     steps_per_epoch: int
-    aug_rejections: int
 
     def write_metrics(self, path) -> None:
         with open(path, "w") as fh:
@@ -258,7 +257,6 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
     best_epoch = -1
     best = opt.flat.copy()
     metrics: list[dict] = []
-    rejections = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = substream(cfg.seed, "shuffle", epoch).permutation(n)
@@ -289,7 +287,6 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
             sample_loss[ids] = _bce_values(np.asarray(y.data), labels)
 
         epoch_loss = float(sample_loss.mean())
-        rejections += counters.get("rejected", 0)
         metrics.append(
             {
                 "epoch": epoch,
@@ -311,7 +308,6 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
         best_loss=best_loss,
         metrics=metrics,
         steps_per_epoch=steps_per_epoch,
-        aug_rejections=rejections,
     )
     if cfg.checkpoint_dir:
         result.save(cfg.checkpoint_dir)

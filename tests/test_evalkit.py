@@ -318,12 +318,13 @@ def test_ablation_checks_every_variant_fits_before_training(monkeypatch):
     assert trained == []
 
 
-@pytest.mark.parametrize("seeds", [(), (0, -1)], ids=["empty", "negative"])
+# the rule `avlab ablate --seeds` applies: a float or bool seed is not truncated to an int
+@pytest.mark.parametrize("seeds", [(), (0, -1), (0.5,), (True,)], ids=["empty", "negative", "float", "bool"])
 def test_ablation_rejects_empty_seeds(monkeypatch, seeds):
     built = []
     monkeypatch.setattr(evalkit, "Detector", lambda *args, **kwargs: built.append(args))
     monkeypatch.setattr(evalkit, "train", lambda *args: built.append(args))
-    with pytest.raises(ConfigError, match="ablation needs at least one seed"):
+    with pytest.raises(ConfigError, match=r"^seeds must be "):
         ablation_run(tiny_run_config(), "attention", seeds=seeds)
     assert built == []
 

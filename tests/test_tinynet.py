@@ -146,16 +146,23 @@ def test_probe_pattern_unchanged():
 
 
 def test_softmax_basics():
-    out = tn.softmax(Tensor(np.zeros((1, 3))), axis=1)
+    out = tn.softmax(Tensor(np.zeros((1, 3))))
     assert np.allclose(out.data, 1.0 / 3.0)
 
     rng = substream(2, "softmax")
     x = rng.standard_normal((5, 9))
-    a = tn.softmax(Tensor(x), axis=1).data
-    b = tn.softmax(Tensor(x + 13.7), axis=1).data
+    a = tn.softmax(Tensor(x)).data
+    b = tn.softmax(Tensor(x + 13.7)).data
     assert np.abs(a.sum(axis=1) - 1.0).max() < 1e-6
     assert np.abs(a - b).max() < 1e-6
     assert (a > 0).all()
+
+
+def test_softmax_runs_over_the_last_axis_of_a_3d_input():
+    x = substream(2, "softmax-3d").standard_normal((2, 3, 5))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.allclose(tn.softmax(Tensor(x)).data, e / e.sum(axis=-1, keepdims=True), rtol=1e-12, atol=0)
+    assert gradcheck.check_op(lambda ts: gradcheck.probe_sum(tn.softmax(ts[0])), [x]) < gradcheck.OPS_TOLERANCE
 
 
 def test_bce_loss_values():
@@ -543,7 +550,11 @@ def _nan_grad_op(x: Tensor) -> Tensor:
     Its forward is a public op, so the check's recorded pass sees it."""
     out = tn.mul(x, 1.0)
     if out._backward is not None:  # only the taped pass; probes run under no_grad
-        out._backward = lambda g: tn._accum(x, g * np.nan)
+
+        def backward(g):
+            x.grad = g * np.nan
+
+        out._backward = backward
     return out
 
 
