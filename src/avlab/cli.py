@@ -70,9 +70,10 @@ def load_config(args) -> trainloop.RunConfig:
     return cfg
 
 
-def _prologue(args) -> tuple[trainloop.RunConfig, Path]:
-    """Load the config, create ``--out`` and write the ``resolved_config.json`` snapshot into it."""
-    cfg = load_config(args)
+def _prologue(args, cfg: trainloop.RunConfig | None = None) -> tuple[trainloop.RunConfig, Path]:
+    """Load the config unless ``cfg`` is given, create ``--out`` and write the
+    ``resolved_config.json`` snapshot into it."""
+    cfg = cfg or load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -183,10 +184,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     values = json.loads(args.values) if args.values else None
-    if values is not None and not isinstance(values, list):
-        raise ConfigError(f"--values must be a JSON list, got {args.values}")
     seeds = evalkit.check_seeds(json.loads(args.seeds) if args.seeds else [0, 1, 2], "--seeds")
-    cfg, out = _prologue(args)
+    cfg = load_config(args)
+    evalkit.check_values(cfg, args.axis, values, "--values")
+    _, out = _prologue(args, cfg)
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
     (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")

@@ -292,6 +292,21 @@ def check_seeds(seeds, name: str = "seeds") -> tuple[int, ...]:
     return tuple(seeds)
 
 
+def check_values(base: RunConfig, axis: str, values=None, name: str = "values") -> list[tuple]:
+    """The ablation value rule: ``values`` (None for :func:`default_axis_values`) is a nonempty
+    list or tuple whose values, each decoded onto ``base`` by :func:`_variant`, give distinct
+    configs; ConfigError naming ``name`` otherwise.  Returns the (value, config) pairs."""
+    defaults = default_axis_values(base, axis)  # checks the axis name, also when values are given
+    values = defaults if values is None else values
+    if not (isinstance(values, (list, tuple)) and values):
+        raise ConfigError(f"{name} must be a nonempty list, got {values!r}")
+    variants = [(v, _variant(base, axis, v)) for v in values]
+    for k, (value, variant) in enumerate(variants):
+        if any(variant == earlier for _, earlier in variants[:k]):
+            raise ConfigError(f"{name} must be distinct, got {value!r} twice in {list(values)!r}")
+    return variants
+
+
 def ablation_run(
     base_cfg: RunConfig,
     axis: str,
@@ -300,10 +315,10 @@ def ablation_run(
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
     mean AUC on both synthetic eval splits.  Seeds that break
-    :func:`check_seeds` raise ConfigError before anything is built or trained."""
+    :func:`check_seeds` or values that break :func:`check_values` raise
+    ConfigError before anything is built or trained."""
     seeds = check_seeds(seeds)
-    defaults = default_axis_values(base_cfg, axis)
-    variants = [(v, _variant(base_cfg, axis, v)) for v in (defaults if values is None else values)]
+    variants = check_values(base_cfg, axis, values)
     for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training
         s = variant.synth
         with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):

@@ -3,7 +3,8 @@
 The learning criteria (07-09) share one set of trained runs: five seeds
 of the standard toy recipe (augmented, T'=8), five without augmentation
 and five at T'=1, all trained on 400 synthetic pairs for 14 epochs and
-scored on held-out splits of 240 videos.
+scored on held-out splits of 240 videos.  Each run is one call of
+``evalkit.ablation_run``, the runner behind ``avlab ablate``.
 """
 
 import time
@@ -11,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from avlab import avdata, evalkit
+from avlab import evalkit
 from avlab.detector import Detector, DetectorConfig, attention_map, distance_map
-from avlab.evalkit import SubsequencePolicy, auc, make_split
+from avlab.evalkit import auc
 from avlab.pseudofake import (
     ChunkParams,
     ManipulationSpec,
@@ -21,7 +22,7 @@ from avlab.pseudofake import (
     index_map,
     sample_chunk,
 )
-from avlab.rng import derive_seed, substream
+from avlab.rng import substream
 from avlab.tinynet import gradcheck
 from avlab.tinynet.layers import Conv1d
 from avlab.tinynet.tensor import Tensor
@@ -189,41 +190,25 @@ def test_c06_auc_oracle():
 # --------------------------------------------------------------------- 7-9
 
 
-def trend_config(seed: int, t_prime: int = 8, augment: bool = True) -> RunConfig:
-    cfg = RunConfig(epochs=TREND_EPOCHS, seed=seed)
-    cfg.detector.t_prime = t_prime
-    if not augment:
-        cfg.pseudo_fake_prob = 0.0
-    cfg.eval_data.n = TREND_EVAL_N
-    return cfg
-
-
-def run_trend(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    train_set = avdata.make_pairs(
-        cfg.synth, TREND_TRAIN_N, 0.5, "global_desync",
-        seed=derive_seed(cfg.seed, "train-data"), id_prefix="train",
-    )
-    result = train(cfg, train_set)
-    policy = SubsequencePolicy(length=cfg.synth.t_v)
-    out = {"seconds": None}
-    for split in ("in_distribution", "fine_grained"):
-        eval_set = make_split(
-            cfg.synth, split, TREND_EVAL_N,
-            seed=derive_seed(cfg.seed, "eval", split), fine_chunk=cfg.eval_data.fine_chunk,
-        )
-        out[split] = evalkit.evaluate(result.model, eval_set, policy).auc
-    out["seconds"] = time.time() - t0
-    return out
+# one arm is one axis value of the ablation runner, trained and scored for one seed
+TREND_ARMS = {"aug_t8": ("t_prime", 8), "noaug_t8": ("manipulation_kind", "none"), "aug_t1": ("t_prime", 1)}
 
 
 @pytest.fixture(scope="module")
 def trend_runs():
-    runs = {"aug_t8": [], "noaug_t8": [], "aug_t1": []}
+    base = RunConfig(epochs=TREND_EPOCHS)
+    base.train_data.n = TREND_TRAIN_N
+    base.eval_data.n = TREND_EVAL_N
+    runs = {arm: [] for arm in TREND_ARMS}
     for seed in SEEDS_TREND:
-        runs["aug_t8"].append(run_trend(trend_config(seed)))
-        runs["noaug_t8"].append(run_trend(trend_config(seed, augment=False)))
-        runs["aug_t1"].append(run_trend(trend_config(seed, t_prime=1)))
+        for arm, (axis, value) in TREND_ARMS.items():
+            t0 = time.time()
+            row = evalkit.ablation_run(base, axis, values=[value], seeds=(seed,)).rows[0]
+            runs[arm].append({
+                "seconds": time.time() - t0,
+                "in_distribution": row["per_seed_in_distribution"][0],
+                "fine_grained": row["per_seed_fine_grained"][0],
+            })
     return runs
 
 

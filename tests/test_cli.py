@@ -275,8 +275,9 @@ def test_augment_rejects_bad_spec_file(tiny_config_file, tmp_path, spec, capsys)
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--seeds", "5"), ("--seeds", '["a"]'), ("--values", "5")],
-    ids=["seeds_not_list", "seeds_not_ints", "values_not_list"],
+    "flag, value",
+    [("--seeds", "5"), ("--seeds", '["a"]'), ("--values", "5"), ("--values", "[]"), ("--values", "[true, true]")],
+    ids=["seeds_not_list", "seeds_not_ints", "values_not_list", "values_empty", "values_repeated"],
 )
 def test_ablate_rejects_bad_list_argument(tiny_config_file, tmp_path, flag, value, capsys):
     out = tmp_path / "ablation"

@@ -10,6 +10,7 @@ from avlab.avdata import SynthConfig
 from avlab.detector import Detector, DetectorConfig
 from avlab.errors import ConfigError, MetricError
 from avlab.evalkit import (
+    SPLITS,
     ScoredVideo,
     SubsequencePolicy,
     ablation_run,
@@ -17,10 +18,11 @@ from avlab.evalkit import (
     default_axis_values,
     evaluate,
     make_split,
+    split_pairs,
 )
 from avlab.pseudofake import ChunkParams
-from avlab.rng import substream
-from avlab.trainloop import DataSpec, EvalSpec
+from avlab.rng import derive_seed, substream
+from avlab.trainloop import DataSpec, EvalSpec, train
 from tests.test_trainloop import tiny_run_config
 
 
@@ -327,6 +329,41 @@ def test_ablation_rejects_empty_seeds(monkeypatch, seeds):
     with pytest.raises(ConfigError, match=r"^seeds must be "):
         ablation_run(tiny_run_config(), "attention", seeds=seeds)
     assert built == []
+
+
+# the rule `avlab ablate --values` applies, checked on the decoded configs
+@pytest.mark.parametrize(
+    "values, message",
+    [([], r"^values must be a nonempty list, got \[\]"),
+     ([True, True], r"^values must be distinct, got True twice in \[True, True\]")],
+    ids=["empty", "repeated"],
+)
+def test_ablation_rejects_empty_or_repeated_values(monkeypatch, values, message):
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    with pytest.raises(ConfigError, match=message):
+        ablation_run(tiny_run_config(), "attention", values=values, seeds=(0,))
+    assert trained == []
+
+
+# the per-seed protocol the acceptance trends, perfbench's train and score workloads and demo 04 share
+def test_ablation_run_trains_and_scores_the_seeded_splits(monkeypatch):
+    cfg = tiny_run_config(epochs=1)
+    cfg.train_data = DataSpec(n=12)
+    cfg.eval_data = EvalSpec(n=16, fine_chunk=ChunkParams(0.25, 0.75))
+    seed = 2
+    reports = []
+    monkeypatch.setattr(evalkit, "evaluate", lambda *args: reports.append(evaluate(*args)) or reports[-1])
+    row = ablation_run(cfg, "t_prime", values=[cfg.detector.t_prime], seeds=(seed,)).rows[0]
+
+    train_set = list(split_pairs(cfg, "train", derive_seed(seed, "train-data")))
+    model = train(replace(cfg, seed=seed), train_set).model
+    policy = SubsequencePolicy(length=cfg.synth.t_v)
+    assert len(reports) == len(SPLITS)
+    for split, report in zip(SPLITS, reports):
+        expected = evaluate(model, list(split_pairs(cfg, split, derive_seed(seed, "eval", split))), policy)
+        assert report.to_dict() == expected.to_dict()  # every window score, bit for bit
+        assert row[f"per_seed_{split}"] == [expected.auc]
 
 
 def test_ablation_attention_axis_two_rows():

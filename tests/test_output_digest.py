@@ -16,15 +16,43 @@ def test_render_and_parse_round_trip():
     assert output_digest.parse(output_digest.render(fp, digests)) == (fp, digests)
 
 
-def test_output_trees_match_the_committed_digest(tmp_path):
+def check_trees(out: Path) -> None:
+    """Write the trees under ``out`` and compare them with the committed digest: their file
+    paths on any build, their bytes only on the build the digest names (a skip elsewhere)."""
     committed_fp, committed = output_digest.parse(output_digest.DIGEST.read_text())
+    output_digest.write_trees(out)
+    written = output_digest.tree_digests(out)
+    assert written.keys() == committed.keys(), (
+        f"the trees' files differ from {output_digest.DIGEST.name}'s: "
+        f"new {sorted(written.keys() - committed.keys())[:10]}, gone {sorted(committed.keys() - written.keys())[:10]}")
     here = output_digest.fingerprint()
     for key in committed_fp.keys() | here.keys():
         if committed_fp.get(key) != here.get(key):
             pytest.skip(f"the digest was made on another build: {key} is {here.get(key)!r} here, "
-                        f"{committed_fp.get(key)!r} in {output_digest.DIGEST.name}")
-    output_digest.write_trees(tmp_path / "trees")
-    written = output_digest.tree_digests(tmp_path / "trees")
-    changed = sorted(k for k in committed.keys() | written.keys() if committed.get(k) != written.get(k))
+                        f"{committed_fp.get(key)!r} in {output_digest.DIGEST.name}; bytes not compared")
+    changed = sorted(k for k in committed if committed[k] != written[k])
     assert not changed, (f"{len(changed)} of {len(written)} files differ from {output_digest.DIGEST.name}; "
                          f"regenerate it with tools/output_digest.py if the change is meant: {changed[:10]}")
+
+
+def test_output_trees_match_the_committed_digest(tmp_path):
+    check_trees(tmp_path / "trees")
+
+
+@pytest.mark.parametrize("lost", [0, 1], ids=["same_paths", "lost_file"])
+def test_another_build_still_compares_paths(tmp_path, monkeypatch, lost):
+    committed_fp, committed = output_digest.parse(output_digest.DIGEST.read_text())
+
+    def write_empty_files(out):
+        for rel in list(committed)[lost:]:
+            (out / rel).parent.mkdir(parents=True, exist_ok=True)
+            (out / rel).write_bytes(b"")
+
+    monkeypatch.setattr(output_digest, "write_trees", write_empty_files)
+    monkeypatch.setattr(output_digest, "fingerprint", lambda: {**committed_fp, "openblas_core": "Other"})
+    if lost:
+        with pytest.raises(AssertionError, match=f"gone \\[{next(iter(committed))!r}\\]"):
+            check_trees(tmp_path / "trees")
+    else:
+        with pytest.raises(pytest.skip.Exception, match="openblas_core is 'Other' here"):
+            check_trees(tmp_path / "trees")
