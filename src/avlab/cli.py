@@ -158,8 +158,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, out = _prologue(args)
+    cfg = load_config(args)
     train_set = list(_split(cfg, "train", args.data))
+    trainloop.check_train_set(cfg, train_set)  # before the snapshot: a run that exits 1 writes nothing
+    _, out = _prologue(args, cfg)
     cfg.checkpoint_dir = str(out)
     result = trainloop.train(cfg, train_set)
     print(

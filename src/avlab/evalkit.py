@@ -295,7 +295,9 @@ def check_seeds(seeds, name: str = "seeds") -> tuple[int, ...]:
 def check_values(base: RunConfig, axis: str, values=None, name: str = "values") -> list[tuple]:
     """The ablation value rule: ``values`` (None for :func:`default_axis_values`) is a nonempty
     list or tuple whose values, each decoded onto ``base`` by :func:`_variant`, give distinct
-    configs; ConfigError naming ``name`` otherwise.  Returns the (value, config) pairs."""
+    configs whose detectors fit their clips (one tape-free forward of a zero clip each);
+    ConfigError naming ``name``, or the value that does not fit, otherwise.  Returns the
+    (value, config) pairs."""
     defaults = default_axis_values(base, axis)  # checks the axis name, also when values are given
     values = defaults if values is None else values
     if not (isinstance(values, (list, tuple)) and values):
@@ -304,6 +306,11 @@ def check_values(base: RunConfig, axis: str, values=None, name: str = "values") 
     for k, (value, variant) in enumerate(variants):
         if any(variant == earlier for _, earlier in variants[:k]):
             raise ConfigError(f"{name} must be distinct, got {value!r} twice in {list(values)!r}")
+    for value, variant in variants:  # fit depends on shapes only: one zero clip each
+        s = variant.synth
+        with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):
+            Detector(variant.detector, seed=0).infer(
+                np.zeros((1, s.t_v, s.c_v, s.h, s.w), np.float32), np.zeros((1, s.t_a), np.float32))
     return variants
 
 
@@ -316,14 +323,9 @@ def ablation_run(
     """Train one model per axis value over a shared seed set and report
     mean AUC on both synthetic eval splits.  Seeds that break
     :func:`check_seeds` or values that break :func:`check_values` raise
-    ConfigError before anything is built or trained."""
+    ConfigError before anything is trained."""
     seeds = check_seeds(seeds)
     variants = check_values(base_cfg, axis, values)
-    for value, variant in variants:  # fit depends on shapes only: one zero clip each, before any training
-        s = variant.synth
-        with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):
-            Detector(variant.detector, seed=0).infer(
-                np.zeros((1, s.t_v, s.c_v, s.h, s.w), np.float32), np.zeros((1, s.t_a), np.float32))
     table = AblationTable(axis=axis, seeds=list(seeds))
     for value, variant in variants:
         per_seed = {"in_distribution": [], "fine_grained": []}

@@ -35,13 +35,22 @@ or the GEMM: each tap adds its partial outputs into the output frames it
 reaches, through an output slice and a source slice, and a tap that
 reaches every output frame goes first as a copy.  With kt = 1, and for
 conv1d, every axis is a trailing one and the GEMM result is the output.
-An optional (O,) ``bias`` is added in place in the same tape node.  The
-padded input lives only until the column matrix is copied from it (with
-a 1x1 stride-1 kernel the columns are a view that keeps it); the backward
-allocates the padded input gradient from the planned shape.  Each
-call's geometry (output sizes, padded shape, index tuples, tap slices,
-permutations and the byte strides of the column view) is planned once
-per (shapes, stride, padding, itemsize) and cached.
+An optional (O,) ``bias`` is added in place in the same tape node.  A
+batch whose padded input fits ``SLAB_BYTES`` (1 MiB) is padded in one
+buffer that lives only until the column matrix is copied from it (with a
+1x1 stride-1 kernel the columns are a view that keeps it).  A larger
+batch is padded slab by slab: one zeroed buffer of as many entries as
+fit the budget (at least one) is refilled for each slab, whose border
+stays zero, and each slab's windows are copied into the full column
+matrix while the slab is still in cache.  The columns, and so the one
+GEMM and its bits, are the same either way.  1 MiB is half the 2 MiB L2
+of a core on the benchmark's VM; a 2 MiB budget lost most of the gain,
+and 256 KiB to 1 MiB measured alike.  Only the stem takes the slab path
+at the detector's shapes (its padded clip batch is 2 MB at batch 8).
+The backward allocates the padded input gradient from the planned shape.
+Each call's geometry (output sizes, padded shape, slab size, index
+tuples, tap slices, permutations and the byte strides of the column
+view) is planned once per (shapes, stride, padding, itemsize) and cached.
 """
 
 from __future__ import annotations
@@ -56,6 +65,9 @@ import numpy as np
 from ..errors import ShapeError
 
 BCE_EPS = 1e-7
+# Largest padded conv input, in bytes, built in one piece; a larger batch is
+# padded and copied into its column matrix this many bytes of entries at a time.
+SLAB_BYTES = 1 << 20
 
 # Cleared inside ``no_grad()``: ops then build no tape.
 _GRAD_ENABLED = True
@@ -359,6 +371,7 @@ class _ConvPlan(NamedTuple):
     to_first: tuple  # the inverse permutation
     cols_shape: tuple  # strided view of xp: (B, *lead rows, *trail So, *trail taps, C)
     cols_strides: tuple
+    slab: int  # batch entries per padded slab; the whole batch when it fits SLAB_BYTES
     gemm: tuple  # (K, N): K = trail taps * C, N = lead taps * O
     w_axes: tuple  # (O, C, *ks) -> (*trail taps, C, *lead taps, O), the (K, N) GEMM operand
     w_back: tuple  # the inverse permutation, for the weight gradient
@@ -395,6 +408,7 @@ def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
                            (slice(None), slice(a * s + t - p, b * s + t - p, s), Ellipsis, t, slice(None)))
                           for t, a, b in spans)
     xs = _c_strides((B, *Sp, C), itemsize)
+    slab = min(B, max(1, SLAB_BYTES // xs[0]))
     trail = range(m, n)
     w_axes = (*range(2 + m, 2 + n), 1, *range(2, 2 + m), 0)
     to_last = (0, *range(2, n + 2), 1)
@@ -405,6 +419,7 @@ def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
         to_first=tuple(int(a) for a in np.argsort(to_last)),
         cols_shape=(B, *rows, *So[m:], *ks[m:], C),
         cols_strides=(xs[0], *xs[1:1 + m], *(xs[1 + i] * stride[i] for i in trail), *xs[1 + m:1 + n], itemsize),
+        slab=slab,
         gemm=(math.prod(ks[m:]) * C, math.prod(ks[:m]) * O),
         w_axes=w_axes,
         w_back=tuple(int(a) for a in np.argsort(w_axes)),
@@ -422,6 +437,16 @@ def _conv_plan(x_shape, w_shape, stride, padding, itemsize: int) -> _ConvPlan:
     )
 
 
+def _pad(x: np.ndarray, p: _ConvPlan, xp: np.ndarray) -> np.ndarray:
+    # copy x (b, C, *S) into the interior of the zeroed channels-last buffer xp (b, *Sp, C)
+    if x.strides[1] == x.itemsize:  # channels innermost in memory: one copy
+        xp[p.inner] = x.transpose(p.to_last)
+    else:  # per channel: one transposed copy would walk C-value runs, 2.5x slower at C=3
+        for c in range(x.shape[1]):
+            xp[(*p.inner, c)] = x[:, c]
+    return xp
+
+
 def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple[int, ...],
           bias: Tensor | None) -> Tensor:
     # (B, C, *S) cross-correlated with (O, C, *K) as one GEMM of cols (rows, K) by the
@@ -432,20 +457,25 @@ def _conv(op: str, x: Tensor, w: Tensor, stride: tuple[int, ...], padding: tuple
         raise ShapeError(f"{op} bias {bias.shape} does not match kernel {w.shape}")
     dtype = np.result_type(x.data, w.data)  # the GEMM's dtype, whose itemsize the plan's strides assume
     p = _conv_plan(x.data.shape, w.data.shape, stride, padding, dtype.itemsize)
-    C = x.data.shape[1]
+    B, C = x.data.shape[:2]
     need_gx, need_gw = x.requires_grad, w.requires_grad  # read here, so the closure holds neither
 
-    xp = np.zeros(p.xp_shape, dtype=dtype)
-    if x.data.strides[1] == x.data.itemsize:  # channels innermost in memory: one copy
-        xp[p.inner] = x.data.transpose(p.to_last)
-    else:  # per channel: one transposed copy would walk C-value runs, 2.5x slower at C=3
-        for c in range(C):
-            xp[(*p.inner, c)] = x.data[:, c]
-    # a strided view that numpy checks against xp's size, unlike as_strided
-    cols = np.ndarray(p.cols_shape, dtype, buffer=xp, offset=0, strides=p.cols_strides).reshape(-1, p.gemm[0])
-    # the reshape copied the windows, unless they are a view of xp (1x1 stride-1 kernels),
-    # which then keeps xp's buffer alive itself; the backward needs only xp's shape
-    del xp
+    if p.slab == B:
+        xp = _pad(x.data, p, np.zeros(p.xp_shape, dtype=dtype))
+        # a strided view that numpy checks against xp's size, unlike as_strided
+        cols = np.ndarray(p.cols_shape, dtype, buffer=xp, offset=0, strides=p.cols_strides).reshape(-1, p.gemm[0])
+        # the reshape copied the windows, unless they are a view of xp (1x1 stride-1 kernels),
+        # which then keeps xp's buffer alive itself; the backward needs only xp's shape
+        del xp
+    else:  # slab by slab through one zeroed buffer: each slab's copies stay in cache
+        cols = np.empty(p.cols_shape, dtype)
+        xp = np.zeros((p.slab, *p.xp_shape[1:]), dtype)  # refills overwrite the interior; the border stays 0
+        for b in range(0, B, p.slab):
+            n = min(p.slab, B - b)
+            _pad(x.data[b:b + n], p, xp[:n])
+            cols[b:b + n] = np.ndarray((n, *p.cols_shape[1:]), dtype, buffer=xp, offset=0, strides=p.cols_strides)
+        del xp
+        cols = cols.reshape(-1, p.gemm[0])
     wt = w.data.transpose(p.w_axes)
     wmat = wt.reshape(p.gemm)
     out = y = (cols @ wmat).reshape(p.y_shape)

@@ -224,15 +224,11 @@ def _pin_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
-    """Run the optimization protocol and return the lowest-loss checkpoint.
-
-    The per-epoch loss recorded (and minimized over) is the mean
-    per-sample BCE accumulated in dataset order, so it is independent
-    of batch partitioning.  Every pair must have the first pair's visual
-    and audio shapes (ConfigError).
-    """
-    cfg.validate()
+def check_train_set(cfg: RunConfig, train_set: list[AVPair]) -> None:
+    """The checks :func:`train` makes on its train set before it builds the model.  ConfigError
+    for an empty set, pairs whose shapes differ from the first pair's, no real pairs or no
+    source of fakes, or a first pair the detector does not fit (one tape-free forward of a
+    fresh ``cfg.detector`` model)."""
     if not train_set:
         raise ConfigError("train set is empty")
     check_uniform(train_set, "visual and audio shapes", lambda p: (p.visual.data.shape, p.audio.data.shape))
@@ -243,11 +239,22 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
             "train set must contain real pairs and a source of fakes "
             "(dataset fakes or pseudo_fake_prob > 0)"
         )
+    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):
+        Detector(cfg.detector).infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
 
+
+def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
+    """Run the optimization protocol and return the lowest-loss checkpoint.
+
+    The per-epoch loss recorded (and minimized over) is the mean
+    per-sample BCE accumulated in dataset order, so it is independent
+    of batch partitioning.  The train set must pass
+    :func:`check_train_set` (ConfigError).
+    """
+    cfg.validate()
+    check_train_set(cfg, train_set)
     _pin_heap()
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
-    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):  # one tape-free forward before training
-        model.infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
     opt = Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     donors = [p for p in train_set if p.label == "real"]
     n = len(train_set)

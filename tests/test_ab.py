@@ -40,9 +40,10 @@ def _ab_in_throwaway_repo(tmp_path, workload: str, rounds: int) -> dict:
     assert result["rounds"] == rounds and len(result["ratios"]) == rounds
     assert result["a"]["commit"] == result["b"]["commit"]
     assert result["a"]["failed"] == result["b"]["failed"] == 0
-    for side in ("a", "b"):  # minor page faults per timed unit
+    for side in ("a", "b"):  # minor page faults per timed unit, and the workers' peak memory
         median, most = result[side]["minflt_median"], result[side]["minflt_max"]
         assert type(median) is int and type(most) is int and 0 <= median <= most
+        assert type(result[side]["maxrss_mb"]) is float and result[side]["maxrss_mb"] > 0
     # the exported trees and the workload scratch went under TMPDIR and are gone; the repo is untouched
     assert list(tmp.iterdir()) == []
     assert sorted(p for p in repo.rglob("*") if ".git" not in p.parts) == files

@@ -344,6 +344,22 @@ def test_ablate_rejects_a_value_the_clips_do_not_fit(tiny_config_file, tmp_path,
     assert not list(out.glob("ablation_*"))
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["ablate", "--axis", "t_prime", "--values", "[2, 16]", "--seeds", "[0]"],
+         "detector does not fit t_prime value 16 on clips of 8 frames"),
+        (["train", "--set", "detector.t_prime=64"], "detector does not fit train pair 'train-00000'"),
+    ],
+    ids=["ablate", "train"],
+)
+def test_fit_failure_writes_nothing_under_out(tiny_config_file, tmp_path, capsys, argv, cause):
+    out = tmp_path / "run"
+    assert main([*argv, "--config", str(tiny_config_file), "--out", str(out)]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()  # no resolved_config.json: the fit is probed before the snapshot
+
+
 def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_path, capsys):
     checkpoint = tmp_path / "checkpoint.avtc"
     save_checkpoint(checkpoint, Detector(DetectorConfig(**TINY_CONFIG["detector"]), seed=0))

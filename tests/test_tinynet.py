@@ -1,6 +1,7 @@
 """Autodiff stack: hand-computable values, gradient checks, Adam behavior."""
 
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -495,6 +496,84 @@ def test_conv_without_a_covering_time_tap(x_shape, w_shape, stride, padding):
                      (gb, g.sum(axis=(0, 2, 3, 4)))):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.fixture
+def slab_bytes(monkeypatch):
+    """A setter of the conv kernel's ``SLAB_BYTES``; the cached plans, which read it, are
+    dropped on every set and once more after the test has restored it."""
+    def set_bytes(n):
+        monkeypatch.setattr(tn, "SLAB_BYTES", n)
+        tn._conv_plan.cache_clear()
+
+    yield set_bytes
+    monkeypatch.undo()
+    tn._conv_plan.cache_clear()
+
+
+def _entry_bytes(x_shape, w_shape, stride, padding, itemsize):
+    """Bytes of one batch entry of the conv's padded input."""
+    return math.prod(tn._conv_plan(x_shape, w_shape, stride, padding, itemsize).xp_shape[1:]) * itemsize
+
+
+# batch 7, each case as (layout, input shape, kernel shape, stride, padding): the stem on a
+# channels-first view of a (B, T, C, H, W) clip batch and a conv1d (both padded channel by
+# channel), and a conv fed by a conv, whose channels are innermost in memory (one copy)
+SLAB_CASES = {
+    "stem_view": (lambda a: a.transpose(0, 2, 1, 3, 4), (7, 4, 3, 9, 10), (8, 3, 3, 5, 5), (1, 4, 4), (1, 2, 2)),
+    "channels_last": (_channels_last_view, (7, 8, 4, 5, 6), (8, 8, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    "conv1d": (np.asarray, (7, 8, 13), (8, 8, 9), (4,), (4,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_slab_path_gives_the_one_pass_bits(slab_bytes, case):
+    layout, shape, w_shape, stride, padding = SLAB_CASES[case]
+    rng = substream(13, "conv-slabs", case)
+    a, w, b = (rng.standard_normal(s).astype(np.float32) for s in (shape, w_shape, w_shape[:1]))
+    x = layout(a)
+    g = rng.standard_normal(_out_shape(x.shape, w_shape, stride, padding)).astype(np.float32)
+    runs = {}  # by slab size: the whole batch, then a budget of three entries and a bit (slabs 3, 3, 1)
+    for budget in (tn.SLAB_BYTES, 3 * _entry_bytes(x.shape, w_shape, stride, padding, 4) + 100):
+        slab_bytes(budget)
+        runs[tn._conv_plan(x.shape, w_shape, stride, padding, 4).slab] = _run_conv(x, w, b, stride, padding, g)
+    assert sorted(runs) == [3, 7]
+    for got, want in zip(runs[3], runs[7]):  # output, x, w and bias gradients
+        assert np.array_equal(got, want)
+
+
+def _traced_peak(x, w, stride, padding):
+    """tracemalloc's peak over one tape-free conv3d call whose plan is cached already."""
+    with tn.no_grad():
+        tn.conv3d(x, w, stride, padding)
+        tracemalloc.start()
+        try:
+            tn.conv3d(x, w, stride, padding)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("out_channels", [1, 8])
+def test_stem_slab_path_never_holds_the_full_padded_input(slab_bytes, out_channels):
+    # the stem at evaluate's batch of 16: a view of a (16, 16, 3, 32, 32) float32 clip batch,
+    # whose padded input is 3.8 MiB, against one slab of 4 entries (0.95 MiB)
+    rng = substream(14, "conv-slab-peak")
+    x = Tensor(rng.standard_normal((16, 16, 3, 32, 32)).astype(np.float32).transpose(0, 2, 1, 3, 4))
+    w = Tensor(rng.standard_normal((out_channels, 3, 3, 5, 5)).astype(np.float32))
+    stride, padding, budget = (1, 4, 4), (1, 2, 2), tn.SLAB_BYTES
+    slab_bytes(1 << 40)
+    one_pass = _traced_peak(x, w, stride, padding)
+    slab_bytes(budget)
+    p = tn._conv_plan(x.shape, w.shape, stride, padding, 4)
+    peak = _traced_peak(x, w, stride, padding)
+    padded = math.prod(p.xp_shape) * 4
+    assert p.slab == 4 and padded > 2 * budget
+    if out_channels == 1:  # the column build is the peak: one slab of it instead of the padded input
+        assert one_pass - peak >= padded - budget
+    else:  # the detector's 8 channels: the columns, the GEMM result and the output, not the padding
+        gemm_phase = sum(math.prod(shape) * 4 for shape in (p.cols_shape, p.y_shape, p.out_shape))
+        assert peak <= 1.01 * gemm_phase < one_pass
 
 
 def test_no_grad_builds_no_tape():

@@ -18,17 +18,22 @@ the slot falls on both sides alike too.
 Units are timed inside the worker, with BLAS pinned to one thread, and
 checked outside the timed region; the worker also counts the minor page
 faults (``ru_minflt``) each timed unit takes, which show heap churn: memory
-the allocator handed back to the kernel and the next unit faulted in again.  The clock is the one
-``perfbench/run.py`` uses: user CPU time for a workload that sets
-``user_clock`` (dataset, whose file creation costs a system time that
-follows the host's disk more than avlab), wall time for the others.
+the allocator handed back to the kernel and the next unit faulted in again.
+After its last unit each worker sends its peak resident memory
+(``ru_maxrss``, set-up and warm-up included, like ``perfbench/run.py``'s
+``peak_rss_mb``), so a memory claim can be checked in both orders too.
+The clock is the one ``perfbench/run.py`` uses: user CPU time for a
+workload that sets ``user_clock`` (dataset, whose file creation costs a
+system time that follows the host's disk more than avlab), wall time for
+the others.
 
 The ratio of a round is B's unit time over A's: below 1 means B was
 faster.  The script prints, and writes as JSON to ``--out`` if given (the
 last stdout line is the same JSON object), the median ratio, a bootstrap
 95% interval of that median, the interquartile range of the round ratios
 and how many rounds each side won; each side's ``minflt_median`` and
-``minflt_max`` are its minor faults per unit; ``halves`` holds each half's median
+``minflt_max`` are its minor faults per unit, and ``maxrss_mb`` the larger
+peak resident memory of its two workers; ``halves`` holds each half's median
 ratio and win counts, which agree when the spawn slot does not matter.
 Resolution comes from many short interleaved rounds: one round's ratio
 spreads by several percent.
@@ -98,7 +103,8 @@ def _minor_faults() -> int:
 
 
 def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
-    """Worker: set up ``workload`` from ``tree``, then time one unit per received index until None."""
+    """Worker: set up ``workload`` from ``tree``, then time one unit per received index until
+    None, on which it sends its peak resident memory in MB and exits."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     from workloads import WORKLOADS
 
@@ -117,6 +123,7 @@ def serve(conn, tree: str, workload: str, seed: int, scratch: str) -> None:
         wl.release(out)
         conn.send((dt, faults, problems))
         j = conn.recv()
+    conn.send(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 def _quantiles(values):
@@ -149,16 +156,21 @@ def _start(ctx, side: str, trees: dict, args) -> tuple:
     return side, parent, proc
 
 
-def _stop(workers) -> None:
-    for _, conn, proc in workers:
+def _stop(workers) -> dict:
+    """Stop the workers; returns each side's peak resident memory in MB, for the workers that sent it."""
+    maxrss = {}
+    for side, conn, proc in workers:
         try:
             conn.send(None)
-        except OSError:  # the worker is gone already
+            if conn.poll(30):
+                maxrss[side] = conn.recv()
+        except (OSError, EOFError):  # the worker is gone already
             pass
         proc.join(timeout=30)
         if proc.is_alive():
             proc.terminate()
             proc.join()
+    return maxrss
 
 
 def run(args) -> dict:
@@ -172,7 +184,8 @@ def run(args) -> dict:
             tree, scratch = Path(tmp) / side, Path(tmp) / f"{side}-scratch"
             scratch.mkdir()
             trees[side] = (tree, scratch)
-            sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "faults": [], "failed": 0}
+            sides[side] = {"rev": rev, "commit": export(rev, tree), "times": [], "faults": [], "maxrss": [],
+                           "failed": 0}
         for order, start, end in halves:
             workers = []
             try:
@@ -192,13 +205,15 @@ def run(args) -> dict:
                         if problems:
                             print(f"check failed, {side} round {j}: {'; '.join(problems)}", file=sys.stderr)
             finally:
-                _stop(workers)
+                for side, mb in _stop(workers).items():
+                    sides[side]["maxrss"].append(mb)
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds}
     for side, info in sides.items():
         q25, median, q75 = _quantiles(info["times"])
         result[side] = {"rev": info["rev"], "commit": info["commit"], "unit_s_median": median,
                         "unit_s_quartiles": [q25, q75], "failed": info["failed"],
-                        "minflt_median": statistics.median_low(info["faults"]), "minflt_max": max(info["faults"])}
+                        "minflt_median": statistics.median_low(info["faults"]), "minflt_max": max(info["faults"]),
+                        "maxrss_mb": max(info["maxrss"])}
     result.update(summarize(sides["a"]["times"], sides["b"]["times"]))
     result["halves"] = []
     for order, start, end in halves:
@@ -219,7 +234,8 @@ def main(argv=None) -> int:
           f"[{result['ci95'][0]:.4f}, {result['ci95'][1]:.4f}], round IQR {result['ratio_iqr']:.4f}; "
           f"B faster in {result['b_wins']}, A faster in {result['a_wins']}")
     print(f"minor faults per unit, median (max): A {a['minflt_median']} ({a['minflt_max']}), "
-          f"B {b['minflt_median']} ({b['minflt_max']})")
+          f"B {b['minflt_median']} ({b['minflt_max']}); peak RSS: A {a['maxrss_mb']:.1f} MB, "
+          f"B {b['maxrss_mb']:.1f} MB")
     for h in result["halves"]:
         print(f"rounds {h['rounds'][0]}-{h['rounds'][1] - 1}, {h['spawned_first'].upper()} spawned first: "
               f"median {h['median_ratio']:.4f}; B faster in {h['b_wins']}, A faster in {h['a_wins']}")
