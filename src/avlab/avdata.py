@@ -22,7 +22,7 @@ import numpy as np
 
 from . import container
 from .errors import ChunkRejected, ConfigError
-from .pseudofake import ChunkParams, ManipulationSpec, apply_manipulation, sample_chunk
+from .pseudofake import ChunkParams, ManipulationSpec, apply_manipulation, chunk_lengths, sample_chunk
 from .rng import substream
 
 LABELS = ("real", "fake")
@@ -214,10 +214,7 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
         artifact = cfg.fake_audio_artifact
     elif origin == "local_desync":
         modality = ("visual", "audio")[int(rng.integers(0, 2))]
-        try:
-            i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
-        except ChunkRejected as exc:  # no local fake fits clips this short: a config fault
-            raise ConfigError(f"local_desync fakes of {cfg.t_v} frames: {exc}") from exc
+        i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
         donor_env = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
         envs[modality] = env.copy()
         envs[modality][i : i + l] = donor_env[i : i + l]
@@ -246,6 +243,17 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
     )
 
 
+def _check_fake_mode(cfg: SynthConfig, mode: str, chunk: ChunkParams | None) -> None:
+    # ConfigError unless ``mode`` makes fakes, and a local fake finds a legal chunk in t_v frames
+    if mode not in FAKE_MODES:
+        raise ConfigError(f"unknown fake mode {mode!r}")
+    if mode == "local_desync":
+        try:
+            chunk_lengths(cfg.t_v, chunk or ChunkParams())
+        except ChunkRejected as exc:  # no local fake fits clips this short: a config fault
+            raise ConfigError(f"local_desync fakes of {cfg.t_v} frames: {exc}") from exc
+
+
 def synth_real_pair(cfg: SynthConfig, rng: np.random.Generator, source_id: str = "synth") -> AVPair:
     """One correlated real pair: both modalities driven by the same envelope."""
     cfg.validate()
@@ -271,8 +279,7 @@ def synth_fake_pair(
     the same rng state.  So is a ``global_desync`` fake's visual clip.
     """
     cfg.validate()
-    if mode not in FAKE_MODES:
-        raise ConfigError(f"unknown fake mode {mode!r}")
+    _check_fake_mode(cfg, mode, chunk)
     return _synth(cfg, mode, rng, chunk, source_id)
 
 
@@ -286,20 +293,29 @@ def iter_pairs(
     seed: int,
     id_prefix: str = "pair",
 ) -> Iterator[AVPair]:
-    """Yield a deterministic dataset pair by pair: sample ``i`` always
+    """A deterministic dataset, yielded pair by pair: sample ``i`` always
     comes from the rng substream ``(seed, "sample", i)``, so generation
-    order cannot change the data.  Fakes occupy the tail indices."""
+    order cannot change the data.  Fakes occupy the tail indices.  The
+    arguments are checked when it is called, before any pair is made: an
+    invalid config or fraction, or fakes the clips cannot hold, raise
+    ConfigError."""
     cfg.validate()
     if not (0.0 <= fake_fraction <= 1.0):
         raise ConfigError(f"fake_fraction must lie in [0, 1], got {fake_fraction}")
     n_fake = int(round(n * fake_fraction))
-    for i in range(n):
-        rng = substream(seed, "sample", i)
-        sid = f"{id_prefix}-{i:05d}"
-        if i < n - n_fake:
-            yield synth_real_pair(cfg, rng, source_id=sid)
-        else:
-            yield synth_fake_pair(cfg, fake_mode, rng, chunk=chunk, source_id=sid)
+    if n_fake:
+        _check_fake_mode(cfg, fake_mode, chunk)
+
+    def pairs() -> Iterator[AVPair]:
+        for i in range(n):
+            rng = substream(seed, "sample", i)
+            sid = f"{id_prefix}-{i:05d}"
+            if i < n - n_fake:
+                yield synth_real_pair(cfg, rng, source_id=sid)
+            else:
+                yield synth_fake_pair(cfg, fake_mode, rng, chunk=chunk, source_id=sid)
+
+    return pairs()
 
 
 def make_pairs(*args, **kwargs) -> list[AVPair]:

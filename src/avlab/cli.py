@@ -2,7 +2,9 @@
 
 Subcommands: synth, augment, train, eval, ablate, gradcheck.  Every
 run that writes outputs also writes the fully-resolved config snapshot
-(``resolved_config.json``) so it can be replayed bit-identically.
+(``resolved_config.json``) so it can be replayed bit-identically.  The
+snapshot is written once the command's inputs are loaded and checked, so
+a run that fails those checks leaves ``--out`` as it was.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 Validation errors include every ``ConfigError``: an unknown key, a
@@ -70,14 +72,13 @@ def load_config(args) -> trainloop.RunConfig:
     return cfg
 
 
-def _prologue(args, cfg: trainloop.RunConfig | None = None) -> tuple[trainloop.RunConfig, Path]:
-    """Load the config unless ``cfg`` is given, create ``--out`` and write the
-    ``resolved_config.json`` snapshot into it."""
-    cfg = cfg or load_config(args)
+def _prologue(args, cfg: trainloop.RunConfig) -> Path:
+    """Create ``--out`` and write the ``resolved_config.json`` snapshot of ``cfg`` into it.
+    Each command calls it once its checks have passed, so a run that fails them writes nothing."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    return cfg, out
+    return out
 
 
 # ------------------------------------------------------------------ datasets
@@ -108,29 +109,33 @@ def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):
 
 
 def cmd_synth(args) -> int:
-    cfg, out = _prologue(args)
+    cfg = load_config(args)
+    splits = {_split_dir(split): _split(cfg, split) for split in ("train", *evalkit.SPLITS)}
+    out = _prologue(args, cfg)
     manifest = {"splits": {}, "seed": cfg.seed}
-    for split in ("train", *evalkit.SPLITS):
-        split_dir = out / _split_dir(split)
+    for name, pairs in splits.items():
+        split_dir = out / name
         split_dir.mkdir(parents=True, exist_ok=True)
         labels = []
-        for i, pair in enumerate(_split(cfg, split)):  # one pair in memory at a time
+        for i, pair in enumerate(pairs):  # one pair in memory at a time
             avdata.save_pair(split_dir / f"pair-{i:05d}.avtc", pair)
             labels.append(pair.label)
-        manifest["splits"][split_dir.name] = {"n": len(labels), "n_fake": labels.count("fake")}
+        manifest["splits"][name] = {"n": len(labels), "n_fake": labels.count("fake")}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {sum(s['n'] for s in manifest['splits'].values())} pairs under {out}")
     return EXIT_OK
 
 
 def cmd_augment(args) -> int:
-    cfg, out = _prologue(args)
+    cfg = load_config(args)
     pairs = _load_dir(Path(args.data))
     donors = [p for p in pairs if p.label == "real"]
 
     fixed_spec = None
     if args.spec:
         fixed_spec = pseudofake.ManipulationSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        fixed_spec.validate(getattr(pairs[0], args.modality).t)  # _load_dir: every pair has this length
+    out = _prologue(args, cfg)
 
     records = []
     counters: dict[str, int] = {}
@@ -160,8 +165,8 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     train_set = list(_split(cfg, "train", args.data))
-    trainloop.check_train_set(cfg, train_set)  # before the snapshot: a run that exits 1 writes nothing
-    _, out = _prologue(args, cfg)
+    trainloop.check_train_set(cfg, train_set)
+    out = _prologue(args, cfg)
     cfg.checkpoint_dir = str(out)
     result = trainloop.train(cfg, train_set)
     print(
@@ -172,12 +177,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, out = _prologue(args)
+    cfg = load_config(args)
     model, _ = load_checkpoint(args.checkpoint)
     policy = evalkit.SubsequencePolicy(length=cfg.synth.t_v)
-    for split in evalkit.SPLITS:
-        eval_set = list(_split(cfg, split, args.data))
-        report = evalkit.evaluate(model, eval_set, policy)
+    reports = {split: evalkit.evaluate(model, list(_split(cfg, split, args.data)), policy)
+               for split in evalkit.SPLITS}
+    out = _prologue(args, cfg)
+    for split, report in reports.items():
         (out / f"report_{split}.json").write_text(report.to_json() + "\n")
         (out / f"report_{split}.txt").write_text(report.to_text() + "\n")
         print(f"{split}: AUC {report.auc:.4f} over {len(report.videos)} videos")
@@ -189,7 +195,7 @@ def cmd_ablate(args) -> int:
     seeds = evalkit.check_seeds(json.loads(args.seeds) if args.seeds else [0, 1, 2], "--seeds")
     cfg = load_config(args)
     evalkit.check_values(cfg, args.axis, values, "--values")
-    _, out = _prologue(args, cfg)
+    out = _prologue(args, cfg)
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
     (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
     (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")

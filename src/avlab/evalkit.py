@@ -295,8 +295,9 @@ def check_seeds(seeds, name: str = "seeds") -> tuple[int, ...]:
 def check_values(base: RunConfig, axis: str, values=None, name: str = "values") -> list[tuple]:
     """The ablation value rule: ``values`` (None for :func:`default_axis_values`) is a nonempty
     list or tuple whose values, each decoded onto ``base`` by :func:`_variant`, give distinct
-    configs whose detectors fit their clips (one tape-free forward of a zero clip each);
-    ConfigError naming ``name``, or the value that does not fit, otherwise.  Returns the
+    configs whose eval splits can be made (their iterators are built, no pair is) and whose
+    detectors fit their clips (one tape-free forward of a zero clip each); ConfigError naming
+    ``name``, the split's fault or the value that does not fit, otherwise.  Returns the
     (value, config) pairs."""
     defaults = default_axis_values(base, axis)  # checks the axis name, also when values are given
     values = defaults if values is None else values
@@ -307,6 +308,8 @@ def check_values(base: RunConfig, axis: str, values=None, name: str = "values") 
         if any(variant == earlier for _, earlier in variants[:k]):
             raise ConfigError(f"{name} must be distinct, got {value!r} twice in {list(values)!r}")
     for value, variant in variants:  # fit depends on shapes only: one zero clip each
+        for split in SPLITS:
+            split_pairs(variant, split, seed=0)
         s = variant.synth
         with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):
             Detector(variant.detector, seed=0).infer(

@@ -91,17 +91,24 @@ class ManipulationSpec:
         return decode(cls, d, "manipulation spec")
 
 
+def chunk_lengths(T: int, cp: ChunkParams) -> tuple[int, int]:
+    """The bounds ``(l_min, l_max)`` of a chunk's length in a length-``T`` sequence;
+    :class:`ChunkRejected` when no legal chunk exists."""
+    cp.validate()
+    l_max = int(np.floor(cp.r_max * T))
+    l_min = max(cp.hard_min, int(np.floor(cp.r_min * T)))
+    if T < cp.hard_min or l_max < l_min:
+        raise ChunkRejected(f"no legal chunk for T={T} under {cp}")
+    return l_min, l_max
+
+
 def sample_chunk(T: int, cp: ChunkParams, rng: np.random.Generator) -> tuple[int, int]:
     """Draw a chunk ``(i, l)`` lying fully inside a length-``T`` sequence.
 
     Raises :class:`ChunkRejected` when no legal chunk exists; callers
     skip augmentation for that sample.
     """
-    cp.validate()
-    l_max = int(np.floor(cp.r_max * T))
-    l_min = max(cp.hard_min, int(np.floor(cp.r_min * T)))
-    if T < cp.hard_min or l_max < l_min:
-        raise ChunkRejected(f"no legal chunk for T={T} under {cp}")
+    l_min, l_max = chunk_lengths(T, cp)
     l = int(rng.integers(l_min, l_max + 1))
     i = int(rng.integers(0, T - l + 1))
     return i, l

@@ -11,6 +11,7 @@ from avlab.avdata import (
     SynthConfig,
     VisualClip,
     envelope,
+    iter_pairs,
     load_pair,
     make_pairs,
     save_pair,
@@ -218,6 +219,24 @@ def test_make_pairs_layout_and_determinism():
         for a, b in zip(pairs, again)
     )
     assert pairs[0].meta.source_id == "train-00000"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"fake_fraction": 0.5, "fake_mode": "local_desync", "chunk": ChunkParams(r_max=0.8)},
+         "local_desync fakes of 2 frames: no legal chunk for T=2"),
+        ({"fake_fraction": 0.5, "fake_mode": "bogus"}, "unknown fake mode 'bogus'"),
+        ({"fake_fraction": 1.5}, "fake_fraction must lie in"),
+    ],
+    ids=["no_local_chunk", "unknown_mode", "fraction"],
+)
+def test_iter_pairs_checks_its_arguments_when_called(kwargs, message):
+    cfg = SynthConfig(t_v=2, c_v=1, h=4, w=4, t_a=40)
+    with pytest.raises(ConfigError, match=message):
+        iter_pairs(cfg, 4, seed=0, **kwargs)  # no next(): the check runs before any pair is made
+    # with no fake to make, the fake mode and its chunks are not checked
+    assert [p.label for p in iter_pairs(cfg, 4, 0.0, "local_desync", ChunkParams(r_max=0.8), seed=0)] == ["real"] * 4
 
 
 def test_clip_validation():

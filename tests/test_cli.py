@@ -1,6 +1,9 @@
 """CLI contract: subcommands, exit codes, overrides, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,20 +347,34 @@ def test_ablate_rejects_a_value_the_clips_do_not_fit(tiny_config_file, tmp_path,
     assert not list(out.glob("ablation_*"))
 
 
+# "{tmp}" stands for tmp_path, which holds the config and spec.json but no pairs
 @pytest.mark.parametrize(
-    "argv, cause",
+    "argv, code, cause",
     [
-        (["ablate", "--axis", "t_prime", "--values", "[2, 16]", "--seeds", "[0]"],
+        (["ablate", "--axis", "t_prime", "--values", "[2, 16]", "--seeds", "[0]"], 1,
          "detector does not fit t_prime value 16 on clips of 8 frames"),
-        (["train", "--set", "detector.t_prime=64"], "detector does not fit train pair 'train-00000'"),
+        (["train", "--set", "detector.t_prime=64"], 1, "detector does not fit train pair 'train-00000'"),
+        (["eval", "--checkpoint", "{tmp}/none.avtc"], 1, "none.avtc"),
+        (["eval", "--checkpoint", "{tmp}"], 2, "runtime failure: IsADirectoryError"),
+        (["augment", "--data", "{tmp}"], 1, "no pair-*.avtc files under"),
+        (["augment", "--data", "{tmp}/data/train", "--spec", "{tmp}/spec.json"], 1,
+         "chunk [6, 11) exceeds length 8"),
+        (["synth", "--set", "synth.t_v=2"], 1, "local_desync fakes of 2 frames: no legal chunk for T=2"),
+        (["ablate", "--axis", "attention", "--seeds", "[0]", "--set", "eval_data.fine_chunk.r_min=0.1",
+          "--set", "eval_data.fine_chunk.r_max=0.2"], 1, "local_desync fakes of 8 frames: no legal chunk for T=8"),
     ],
-    ids=["ablate", "train"],
+    ids=["ablate", "train", "eval_missing_checkpoint", "eval_checkpoint_is_dir", "augment_no_pairs",
+         "augment_spec_past_clip_end", "synth_no_local_chunk", "ablate_no_local_chunk"],
 )
-def test_fit_failure_writes_nothing_under_out(tiny_config_file, tmp_path, capsys, argv, cause):
+def test_fit_failure_writes_nothing_under_out(tiny_config_file, tmp_path, capsys, argv, code, cause):
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "replace", "i": 6, "l": 5}))
+    if "{tmp}/data/train" in argv:
+        assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "data")]) == 0
     out = tmp_path / "run"
-    assert main([*argv, "--config", str(tiny_config_file), "--out", str(out)]) == 1
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--config", str(tiny_config_file), "--out", str(out)]) == code
     assert cause in capsys.readouterr().err
-    assert not out.exists()  # no resolved_config.json: the fit is probed before the snapshot
+    assert not out.exists()  # no resolved_config.json: every check runs before the snapshot
 
 
 def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_path, capsys):
@@ -372,7 +389,7 @@ def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: detector does not fit eval windows of 4 frames: ")
     assert "adaptive pool cannot upsample: 4 bins for length 2" in err
-    assert not list(out.glob("report_*"))
+    assert not out.exists()
 
 
 def _wrong_config_hash(tensors, meta):
@@ -603,6 +620,25 @@ def test_seed_flag_overrides_config(tiny_config_file, tmp_path):
     rc = main(["synth", "--config", str(tiny_config_file), "--out", str(out), "--seed", "99"])
     assert rc == 0
     assert json.loads((out / "resolved_config.json").read_text())["seed"] == 99
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m avlab.cli` as a process: its exit status is main's return value or argparse's SystemExit
+    cases = {
+        "config_error": (["synth", "--set", "no.such.key=1", "--out", str(tmp_path / "a")], 1, "error: "),
+        "usage_error": (["frobnicate"], 1, "usage: avlab"),
+        "checkpoint_is_dir": (["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "b")], 2,
+                              "runtime failure: IsADirectoryError"),
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # this checkout's src/
+    procs = {name: subprocess.Popen([sys.executable, "-m", "avlab.cli", *argv], env=env, text=True,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for name, (argv, _, _) in cases.items()}  # started together: about one interpreter start-up
+    for name, (_, code, err) in cases.items():
+        _, stderr = procs[name].communicate(timeout=60)
+        assert procs[name].returncode == code, (name, stderr)
+        assert err in stderr, (name, stderr)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 # cli.main's except clauses: validation errors exit 1, every other error exits 2

@@ -39,6 +39,14 @@ def test_output_trees_match_the_committed_digest(tmp_path):
     check_trees(tmp_path / "trees")
 
 
+def test_write_trees_names_a_failing_command(tmp_path, monkeypatch):
+    from avlab import cli
+
+    monkeypatch.setattr(cli, "main", lambda argv: 2)
+    with pytest.raises(RuntimeError, match=r"^avlab synth --config \S+/tiny/config.json --out \S+ exited with code 2$"):
+        output_digest.write_trees(tmp_path / "trees")
+
+
 @pytest.mark.parametrize("lost", [0, 1], ids=["same_paths", "lost_file"])
 def test_another_build_still_compares_paths(tmp_path, monkeypatch, lost):
     committed_fp, committed = output_digest.parse(output_digest.DIGEST.read_text())

@@ -1,34 +1,49 @@
 #!/usr/bin/env python3
-"""Write OUTPUT_TREES.sha256: one sha256 per file that tools/output_trees.sh
-writes, under a header holding the build fingerprint.
+"""Write the output trees of every avlab subcommand, or their digest.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py        # regenerate OUTPUT_TREES.sha256
+    python3 tools/output_digest.py OUT    # write only the trees, under OUT
 
-writes the trees in a temporary directory and the digest to
-OUTPUT_TREES.sha256 at the repository root.  Its header lines read
-``# key: value``; the other lines read ``<sha256>  <path under OUT>``, as
-``sha256sum`` prints them.  The bits are promised on one build only, so
-the header names the build: the Python, numpy and BLAS versions, the
-machine, numpy's SIMD extensions and the OpenBLAS core in use, if the
-library reports it.  The trees are written with BLAS pinned to one
-thread, as the test suite pins it.
+The trees come from 23 commands on two configs, run in this process through
+``avlab.cli.main``: ``tiny/`` is TINY_CONFIG from tests/test_cli.py,
+``default/`` the default RunConfig with epochs=1, train_data.n=24 and
+eval_data.n=8.  Each command's stdout is kept in ``<name>.stdout``, with OUT
+replaced by the text ``OUT``.  To compare two checkouts, write the trees with
+each one's copy of this tool and ``diff -r`` them.
+
+The digest's header lines read ``# key: value`` and name the build, since
+the bits are promised on one build only: the Python, numpy and BLAS
+versions, the machine, numpy's SIMD extensions and the OpenBLAS core in
+use, if the library reports it.  The other lines read ``<sha256>  <path
+under OUT>``, as ``sha256sum`` prints them.  avlab is imported from this
+checkout's src/, with BLAS pinned to one thread before numpy loads, as
+the test suite pins it.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
+import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 DIGEST = ROOT / "OUTPUT_TREES.sha256"
-TITLE = "# sha256 of every file tools/output_trees.sh writes, on the build below"
+TITLE = "# sha256 of every file tools/output_digest.py OUT writes, on the build below"
+ALL_KINDS = 'kind_policy={"replace": 0.25, "repeat": 0.25, "flip": 0.25, "translate": 0.25}'
 
 
 def _openblas_core(np) -> str:
@@ -73,12 +88,58 @@ def fingerprint() -> dict[str, str]:
 
 
 def write_trees(out: Path) -> None:
-    """Run tools/output_trees.sh OUT with this interpreter first on PATH and BLAS on one thread."""
-    env = {**os.environ, "PATH": f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.setdefault(var, "1")
-    subprocess.run(["bash", str(ROOT / "tools" / "output_trees.sh"), str(out)], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    """Run every avlab subcommand with its outputs under ``out``, in this process.
+
+    Each config gets ``config.json`` and ``config_long.json``, whose eval
+    windows are half as long again as the stored clips (so every stored video
+    is padded); ``replace.json`` is a fixed spec.  A command that exits
+    non-zero raises RuntimeError naming it and its code.
+    """
+    from avlab.avdata import SynthConfig
+    from avlab.cli import main
+
+    out = Path(os.path.abspath(out))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "replace.json").write_text(json.dumps({"kind": "replace", "i": 2, "l": 3}) + "\n")
+    tiny = next(ast.literal_eval(node.value)
+                for node in ast.parse((ROOT / "tests" / "test_cli.py").read_text()).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TINY_CONFIG")
+    configs = {"tiny": tiny, "default": {"epochs": 1, "train_data": {"n": 24}, "eval_data": {"n": 8}}}
+    for name, cfg in configs.items():
+        synth = {**asdict(SynthConfig()), **cfg.get("synth", {})}
+        synth.update(t_v=synth["t_v"] * 3 // 2, t_a=synth["t_a"] * 3 // 2)
+        (out / name).mkdir(exist_ok=True)
+        for file, tree in (("config.json", cfg), ("config_long.json", {**cfg, "synth": synth})):
+            (out / name / file).write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+
+    commands = []  # (stdout name, argv), in the order they run
+    for name in configs:
+        d = out / name
+        c = ["--config", f"{d}/config.json"]
+        spec = ["--data", f"{d}/synth/train", "--spec", f"{out}/replace.json"]
+        for cmd, argv in {
+            "synth": ["synth", *c],
+            "synth_local": ["synth", *c, "--set", "train_data.fake_mode=local_desync"],
+            "augment": ["augment", *c, "--set", ALL_KINDS, "--data", f"{d}/synth/train"],
+            "augment_visual": ["augment", *c, *spec, "--modality", "visual"],
+            "augment_audio": ["augment", *c, *spec, "--modality", "audio"],
+            "train": ["train", *c],
+            "train_data": ["train", *c, "--data", f"{d}/synth"],
+            "eval": ["eval", *c, "--checkpoint", f"{d}/train/checkpoint.avtc"],
+            "eval_padded": ["eval", "--config", f"{d}/config_long.json", "--data", f"{d}/synth",
+                            "--checkpoint", f"{d}/train_data/checkpoint.avtc"],
+            "ablate": ["ablate", *c, "--axis", "attention", "--seeds", "[0]"],
+        }.items():
+            commands.append((f"{name}/{cmd}", [*argv, "--out", f"{d}/{cmd}"]))
+    commands.append(("gradcheck", ["gradcheck", "--instances", "2"]))
+
+    for name, argv in commands:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"avlab {' '.join(argv)} exited with code {code}")
+        (out / f"{name}.stdout").write_text(stdout.getvalue().rstrip("\n").replace(str(out), "OUT") + "\n")
 
 
 def tree_digests(tree: Path) -> dict[str, str]:
@@ -106,9 +167,13 @@ def parse(text: str) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def main() -> int:
-    if len(sys.argv) != 1:
-        print(f"usage: {sys.argv[0]}", file=sys.stderr)
+    if len(sys.argv) > 2:
+        print(f"usage: {sys.argv[0]} [OUT]", file=sys.stderr)
         return 1
+    if len(sys.argv) == 2:
+        write_trees(Path(sys.argv[1]))
+        print(f"output trees under {os.path.abspath(sys.argv[1])}")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         write_trees(Path(tmp) / "trees")
         digests = tree_digests(Path(tmp) / "trees")
