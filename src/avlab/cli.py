@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: synth, augment, train, eval, ablate, gradcheck.  Every
-run that writes outputs also writes the fully-resolved config snapshot
-(``resolved_config.json``) so it can be replayed bit-identically.  The
-snapshot is written once the command's inputs are loaded and checked, so
-a run that fails those checks leaves ``--out`` as it was.
+command but gradcheck writes ``--out`` whole or not at all, with the
+fully-resolved config snapshot (``resolved_config.json``) that replays it
+bit-identically.  An ``--out`` that exists and is not an empty directory
+exits 1 before any work.  The outputs are built in a hidden staging
+directory beside ``--out``, renamed into place on success and removed on
+any failure or interrupt; only a killed process (SIGKILL) leaves one behind.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
 Validation errors include every ``ConfigError``: an unknown key, a
@@ -16,7 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import avdata, evalkit, pseudofake, trainloop
@@ -72,15 +77,6 @@ def load_config(args) -> trainloop.RunConfig:
     return cfg
 
 
-def _prologue(args, cfg: trainloop.RunConfig) -> Path:
-    """Create ``--out`` and write the ``resolved_config.json`` snapshot of ``cfg`` into it.
-    Each command calls it once its checks have passed, so a run that fails them writes nothing."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    return out
-
-
 # ------------------------------------------------------------------ datasets
 
 
@@ -108,34 +104,30 @@ def _split(cfg: trainloop.RunConfig, split: str, data: str | None = None):
     return evalkit.split_pairs(cfg, split, derive_seed(cfg.seed, "dataset", _split_dir(split)))
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    splits = {_split_dir(split): _split(cfg, split) for split in ("train", *evalkit.SPLITS)}
-    out = _prologue(args, cfg)
+def cmd_synth(args, cfg: trainloop.RunConfig, stage: Path) -> str:
     manifest = {"splits": {}, "seed": cfg.seed}
-    for name, pairs in splits.items():
-        split_dir = out / name
-        split_dir.mkdir(parents=True, exist_ok=True)
+    for split in ("train", *evalkit.SPLITS):
+        split_dir = stage / _split_dir(split)
+        split_dir.mkdir()
         labels = []
-        for i, pair in enumerate(pairs):  # one pair in memory at a time
+        for i, pair in enumerate(_split(cfg, split)):  # one pair in memory at a time
             avdata.save_pair(split_dir / f"pair-{i:05d}.avtc", pair)
             labels.append(pair.label)
-        manifest["splits"][name] = {"n": len(labels), "n_fake": labels.count("fake")}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(s['n'] for s in manifest['splits'].values())} pairs under {out}")
-    return EXIT_OK
+        manifest["splits"][split_dir.name] = {"n": len(labels), "n_fake": labels.count("fake")}
+    (stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return f"wrote {sum(s['n'] for s in manifest['splits'].values())} pairs under {Path(args.out)}"
 
 
-def cmd_augment(args) -> int:
-    cfg = load_config(args)
+def cmd_augment(args, cfg: trainloop.RunConfig, stage: Path) -> str:
     pairs = _load_dir(Path(args.data))
     donors = [p for p in pairs if p.label == "real"]
+    # a fixed replace spec takes the next real pair's clip: never the pair's own, unless it is the only real
+    next_donor = {id(p): donors[(k + 1) % len(donors)] for k, p in enumerate(donors)}
 
     fixed_spec = None
     if args.spec:
         fixed_spec = pseudofake.ManipulationSpec.from_dict(json.loads(Path(args.spec).read_text()))
         fixed_spec.validate(getattr(pairs[0], args.modality).t)  # _load_dir: every pair has this length
-    out = _prologue(args, cfg)
 
     records = []
     counters: dict[str, int] = {}
@@ -143,12 +135,12 @@ def cmd_augment(args) -> int:
         if pair.label != "real":
             result = pair
         elif fixed_spec is not None:
-            donor = donors[(i + 1) % len(donors)] if fixed_spec.kind == "replace" else None
+            donor = next_donor[id(pair)] if fixed_spec.kind == "replace" else None
             result = avdata.apply_to_pair(pair, args.modality, fixed_spec, donor)
         else:
             rng = substream(cfg.seed, "augment-cli", i)
             result = trainloop.augment_sample(pair, donors, cfg, rng, counters)
-        avdata.save_pair(out / f"pair-{i:05d}.avtc", result)
+        avdata.save_pair(stage / f"pair-{i:05d}.avtc", result)
         records.append(
             {
                 "source_id": result.meta.source_id,
@@ -157,50 +149,39 @@ def cmd_augment(args) -> int:
                 "audio_manipulations": [s.to_dict() for s in result.meta.audio_manipulations],
             }
         )
-    (out / "specs.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    print(f"augmented {len(pairs)} pairs -> {out} ({counters or 'fixed spec'})")
-    return EXIT_OK
+    (stage / "specs.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    return f"augmented {len(pairs)} pairs -> {Path(args.out)} ({counters or 'fixed spec'})"
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args)
-    train_set = list(_split(cfg, "train", args.data))
-    trainloop.check_train_set(cfg, train_set)
-    out = _prologue(args, cfg)
-    cfg.checkpoint_dir = str(out)
-    result = trainloop.train(cfg, train_set)
-    print(
+def cmd_train(args, cfg: trainloop.RunConfig, stage: Path) -> str:
+    cfg.checkpoint_dir = str(stage)
+    result = trainloop.train(cfg, list(_split(cfg, "train", args.data)))
+    return (
         f"trained {cfg.epochs} epochs; best epoch {result.best_epoch} "
-        f"(loss {result.best_loss:.4f}); checkpoint in {out}"
+        f"(loss {result.best_loss:.4f}); checkpoint in {Path(args.out)}"
     )
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args)
+def cmd_eval(args, cfg: trainloop.RunConfig, stage: Path) -> str:
     model, _ = load_checkpoint(args.checkpoint)
     policy = evalkit.SubsequencePolicy(length=cfg.synth.t_v)
-    reports = {split: evalkit.evaluate(model, list(_split(cfg, split, args.data)), policy)
-               for split in evalkit.SPLITS}
-    out = _prologue(args, cfg)
-    for split, report in reports.items():
-        (out / f"report_{split}.json").write_text(report.to_json() + "\n")
-        (out / f"report_{split}.txt").write_text(report.to_text() + "\n")
-        print(f"{split}: AUC {report.auc:.4f} over {len(report.videos)} videos")
-    return EXIT_OK
+    lines = []
+    for split in evalkit.SPLITS:
+        report = evalkit.evaluate(model, list(_split(cfg, split, args.data)), policy)
+        (stage / f"report_{split}.json").write_text(report.to_json() + "\n")
+        (stage / f"report_{split}.txt").write_text(report.to_text() + "\n")
+        lines.append(f"{split}: AUC {report.auc:.4f} over {len(report.videos)} videos")
+    return "\n".join(lines)
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, cfg: trainloop.RunConfig, stage: Path) -> str:
     values = json.loads(args.values) if args.values else None
     seeds = evalkit.check_seeds(json.loads(args.seeds) if args.seeds else [0, 1, 2], "--seeds")
-    cfg = load_config(args)
     evalkit.check_values(cfg, args.axis, values, "--values")
-    out = _prologue(args, cfg)
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
-    (out / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
-    (out / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")
-    print(table.to_text())
-    return EXIT_OK
+    (stage / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
+    (stage / f"ablation_{args.axis}.txt").write_text(table.to_text() + "\n")
+    return table.to_text()
 
 
 def cmd_gradcheck(args) -> int:
@@ -262,10 +243,28 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return its exit code.  A writing command, ``cmd_x(args, cfg, stage)``,
+    fills ``stage`` and returns its stdout text, printed once ``stage`` is renamed to ``--out``."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "gradcheck":
+            return args.fn(args)
+        out = Path(os.path.abspath(args.out))
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise ConfigError(f"--out {args.out} exists and is not an empty directory")
+        cfg = load_config(args)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))  # same filesystem
+        try:
+            stage = staging / "out"
+            stage.mkdir()  # the mode a plain mkdir gives, not mkdtemp's 0700
+            (stage / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+            text = args.fn(args, cfg, stage)
+            os.replace(stage, out)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        print(text)
+        return EXIT_OK
     except (ConfigError, ContainerFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -63,12 +63,18 @@ def write_container(path, tensors: dict[str, np.ndarray], meta: dict[str, str] |
 def read_container(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container written by :func:`write_container`.
 
-    Raises :class:`ContainerFormatError` (with a byte offset) on bad
-    magic, a truncated file, a header that breaks the header schema, a
-    payload whose size disagrees with the declared shapes, or a shape
-    numpy cannot build.
+    Raises :class:`ContainerFormatError` (its message prefixed with
+    ``path``, with a byte offset) on bad magic, a truncated file, a header
+    that breaks the header schema, a payload whose size disagrees with the
+    declared shapes, or a shape numpy cannot build.
     """
-    raw = Path(path).read_bytes()
+    try:
+        return _parse(Path(path).read_bytes())
+    except ContainerFormatError as exc:
+        raise ContainerFormatError(f"{path}: {exc.message}", exc.offset) from None
+
+
+def _parse(raw: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
         raise ContainerFormatError(f"bad magic, expected {MAGIC!r}", 0)
     pos = len(MAGIC)

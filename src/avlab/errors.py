@@ -8,12 +8,13 @@ class ConfigError(ValueError):
 class ContainerFormatError(ValueError):
     """A tensor container file is malformed.
 
-    ``offset`` is the byte position at which the problem was detected.
+    ``offset`` is the byte position at which the problem was detected;
+    ``message`` is the text without it.
     """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class ChunkRejected(Exception):

@@ -27,7 +27,7 @@ from .detector import Detector, load_checkpoint, must_fit
 from .errors import ConfigError, MetricError
 from .pseudofake import KINDS, ChunkParams
 from .rng import derive_seed
-from .trainloop import EvalSpec, RunConfig, train
+from .trainloop import EvalSpec, RunConfig, check_fake_source, train
 
 SPLITS = ("in_distribution", "fine_grained")
 
@@ -295,10 +295,10 @@ def check_seeds(seeds, name: str = "seeds") -> tuple[int, ...]:
 def check_values(base: RunConfig, axis: str, values=None, name: str = "values") -> list[tuple]:
     """The ablation value rule: ``values`` (None for :func:`default_axis_values`) is a nonempty
     list or tuple whose values, each decoded onto ``base`` by :func:`_variant`, give distinct
-    configs whose eval splits can be made (their iterators are built, no pair is) and whose
-    detectors fit their clips (one tape-free forward of a zero clip each); ConfigError naming
-    ``name``, the split's fault or the value that does not fit, otherwise.  Returns the
-    (value, config) pairs."""
+    configs whose eval splits can be made (their iterators are built, no pair is), whose train
+    sets pass :func:`~avlab.trainloop.check_fake_source`, and whose detectors fit their clips
+    (one tape-free forward of a zero clip each); ConfigError naming ``name``, the split's fault
+    or the value at fault, otherwise.  Returns the (value, config) pairs."""
     defaults = default_axis_values(base, axis)  # checks the axis name, also when values are given
     values = defaults if values is None else values
     if not (isinstance(values, (list, tuple)) and values):
@@ -310,6 +310,9 @@ def check_values(base: RunConfig, axis: str, values=None, name: str = "values") 
     for value, variant in variants:  # fit depends on shapes only: one zero clip each
         for split in SPLITS:
             split_pairs(variant, split, seed=0)
+        data = variant.train_data
+        n_fake = round(data.n * data.fake_fraction)  # as avdata.iter_pairs counts them
+        check_fake_source(variant, n_fake < data.n, n_fake > 0, f"the train set of {axis} value {value!r}")
         s = variant.synth
         with must_fit(f"{axis} value {value!r} on clips of {s.t_v} frames"):
             Detector(variant.detector, seed=0).infer(

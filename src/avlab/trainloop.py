@@ -224,23 +224,12 @@ def _pin_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
-def check_train_set(cfg: RunConfig, train_set: list[AVPair]) -> None:
-    """The checks :func:`train` makes on its train set before it builds the model.  ConfigError
-    for an empty set, pairs whose shapes differ from the first pair's, no real pairs or no
-    source of fakes, or a first pair the detector does not fit (one tape-free forward of a
-    fresh ``cfg.detector`` model)."""
-    if not train_set:
-        raise ConfigError("train set is empty")
-    check_uniform(train_set, "visual and audio shapes", lambda p: (p.visual.data.shape, p.audio.data.shape))
-    has_real = any(p.label == "real" for p in train_set)
-    has_fake_source = any(p.label == "fake" for p in train_set) or cfg.pseudo_fake_prob > 0
-    if not has_real or not has_fake_source:
-        raise ConfigError(
-            "train set must contain real pairs and a source of fakes "
-            "(dataset fakes or pseudo_fake_prob > 0)"
-        )
-    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):
-        Detector(cfg.detector).infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
+def check_fake_source(cfg: RunConfig, has_real: bool, has_fake: bool, what: str = "train set") -> None:
+    """The rule for a train set with or without real and fake pairs: it needs real pairs, and
+    fakes or ``pseudo_fake_prob > 0``; ConfigError naming ``what`` otherwise."""
+    if not has_real or not (has_fake or cfg.pseudo_fake_prob > 0):
+        raise ConfigError(f"{what} must contain real pairs and a source of fakes "
+                          "(dataset fakes or pseudo_fake_prob > 0)")
 
 
 def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
@@ -248,11 +237,18 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
 
     The per-epoch loss recorded (and minimized over) is the mean
     per-sample BCE accumulated in dataset order, so it is independent
-    of batch partitioning.  The train set must pass
-    :func:`check_train_set` (ConfigError).
+    of batch partitioning.  The train set is checked before the model is
+    built: ConfigError for an empty set, pairs whose shapes differ from the
+    first pair's, no real pairs or no source of fakes, or a first pair the
+    detector does not fit (one tape-free forward of a fresh model).
     """
     cfg.validate()
-    check_train_set(cfg, train_set)
+    if not train_set:
+        raise ConfigError("train set is empty")
+    check_uniform(train_set, "visual and audio shapes", lambda p: (p.visual.data.shape, p.audio.data.shape))
+    check_fake_source(cfg, any(p.label == "real" for p in train_set), any(p.label == "fake" for p in train_set))
+    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):
+        Detector(cfg.detector).infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
     _pin_heap()
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
     opt = Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)

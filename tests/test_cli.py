@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avlab import avdata, cli, container, evalkit
+from avlab import avdata, cli, container, evalkit, trainloop
 from avlab.cli import main
 from avlab.detector import Detector, DetectorConfig, save_checkpoint
 from avlab.errors import ConfigError, ContainerFormatError, DivergenceError, MetricError, ShapeError
@@ -186,6 +187,43 @@ def test_augment_with_fixed_spec(tiny_config_file, tmp_path, spec):
         assert got.visual.data.tobytes() == expected.data.tobytes()
         assert got.audio.data.tobytes() == src.audio.data.tobytes()
         assert (got.label, got.meta.origin, got.meta.source_id) == ("fake", "pseudo_fake", src.meta.source_id)
+
+
+def test_augment_fixed_replace_spec_takes_the_next_real_as_donor(tiny_config_file, tmp_path):
+    # a fake between two reals: each real's donor is the next real, never the pair itself
+    synth = avdata.SynthConfig(**TINY_CONFIG["synth"])
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    sources = [avdata.synth_real_pair(synth, np.random.default_rng(0), source_id="r0"),
+               avdata.synth_fake_pair(synth, "global_desync", np.random.default_rng(1), source_id="f1"),
+               avdata.synth_real_pair(synth, np.random.default_rng(2), source_id="r2")]
+    for i, pair in enumerate(sources):
+        avdata.save_pair(data_dir / f"pair-{i:05d}.avtc", pair)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": "replace", "i": 2, "l": 3}))
+    out = tmp_path / "aug"
+    assert main(["augment", "--config", str(tiny_config_file), "--data", str(data_dir), "--out", str(out),
+                 "--spec", str(spec_file)]) == 0
+    outputs = [avdata.load_pair(p) for p in sorted(out.glob("pair-*.avtc"))]
+    assert [p.label for p in outputs] == ["fake", "fake", "fake"]
+    assert [[s.donor_id for s in p.meta.visual_manipulations] for p in outputs] == [["r2"], [], ["r0"]]
+    for got, src, donor in ((outputs[0], sources[0], sources[2]), (outputs[2], sources[2], sources[0])):
+        expected = apply_manipulation(src.visual, got.meta.visual_manipulations[0], donor.visual)
+        assert got.visual.data.tobytes() == expected.data.tobytes() != src.visual.data.tobytes()
+
+
+def test_truncated_pair_under_data_names_its_file(tiny_config_file, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(data_dir)]) == 0
+    bad = data_dir / "train" / "pair-00003.avtc"
+    bad.write_bytes(bad.read_bytes()[:300])
+    out = tmp_path / "aug"
+    assert main(["augment", "--config", str(tiny_config_file), "--data", str(data_dir / "train"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: truncated payload for tensor 'visual'")
+    assert err.endswith(" (at byte offset 273)\n")
+    assert not out.exists()
 
 
 def _break_header(path):
@@ -372,9 +410,94 @@ def test_fit_failure_writes_nothing_under_out(tiny_config_file, tmp_path, capsys
         assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "data")]) == 0
     out = tmp_path / "run"
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    before = sorted(os.listdir(tmp_path))
     assert main([*argv, "--config", str(tiny_config_file), "--out", str(out)]) == code
     assert cause in capsys.readouterr().err
-    assert not out.exists()  # no resolved_config.json: every check runs before the snapshot
+    assert sorted(os.listdir(tmp_path)) == before  # a failed run leaves no --out and no staging directory
+
+
+def _failing(fn, error, k):
+    """``fn``, raising ``error`` once its call number ``k`` (from 0) has returned."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        if len(calls) > k:
+            raise error
+        return calls[-1]
+
+    return wrapped
+
+
+# a step after the snapshot fails: (command, its arguments, module and function, the call after which it raises, error)
+STAGED_FAILURES = [
+    ("synth", [], avdata, "save_pair", 5, OSError("no space left on device")),
+    ("augment", ["--data", "{tmp}/data/train"], avdata, "save_pair", 3, OSError("no space left on device")),
+    ("train", [], trainloop, "train", 0, DivergenceError("non-finite loss")),
+    ("eval", ["--checkpoint", "{tmp}/checkpoint.avtc"], evalkit, "evaluate", 1, MetricError("single-class AUC")),
+    ("ablate", ["--axis", "attention", "--seeds", "[0]"], evalkit, "ablation_run", 0, DivergenceError("diverged")),
+]
+
+
+@pytest.mark.parametrize("command, argv, module, name, k, error", STAGED_FAILURES,
+                         ids=[case[0] for case in STAGED_FAILURES])
+def test_failure_after_the_snapshot_leaves_no_out(tiny_config_file, tmp_path, monkeypatch, capsys,
+                                                  command, argv, module, name, k, error):
+    if command == "augment":
+        assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "data")]) == 0
+    save_checkpoint(tmp_path / "checkpoint.avtc", Detector(DetectorConfig(**TINY_CONFIG["detector"])))
+    monkeypatch.setattr(module, name, _failing(getattr(module, name), error, k))
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "run"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([command, *argv, "--config", str(tiny_config_file), "--out", str(out)]) == 2
+    assert f"runtime failure: {type(error).__name__}: {error}" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == before  # the staging directory is gone too
+
+
+def test_interrupt_propagates_and_leaves_nothing(tiny_config_file, tmp_path, monkeypatch):
+    staged = []
+
+    def interrupted(args, cfg, stage):
+        staged.append(sorted(os.listdir(stage)))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_train", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(tiny_config_file), "--out", str(tmp_path / "run")])
+    assert staged == [["resolved_config.json"]]
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_non_empty_out_is_refused_before_any_work(tiny_config_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file), "--out", str(out)]) == 0
+    good = dir_digest(out)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "load_config", lambda args: pytest.fail("the config was loaded"))
+    assert main(["train", "--config", str(tiny_config_file), "--set", "lr=1e30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out} exists and is not an empty directory\n"
+    assert dir_digest(out) == good
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "run"]
+
+
+def test_empty_out_directory_is_accepted(tiny_config_file, tmp_path):
+    out = tmp_path / "data"
+    out.mkdir()
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists() and (out / "resolved_config.json").exists()
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "data"]
+
+
+def test_out_gets_the_mode_of_a_plain_mkdir(tiny_config_file, tmp_path):
+    umask = os.umask(0o022)  # a known umask under which mkdir's mode differs from a private 0700
+    try:
+        (tmp_path / "plain").mkdir()
+        assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "data")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "data").stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
 
 def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_path, capsys):
@@ -629,7 +752,10 @@ def test_module_entry_point_exit_codes(tmp_path):
         "usage_error": (["frobnicate"], 1, "usage: avlab"),
         "checkpoint_is_dir": (["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "b")], 2,
                               "runtime failure: IsADirectoryError"),
+        "out_is_file": (["synth", "--out", str(tmp_path / "file")], 1,
+                        f"error: --out {tmp_path / 'file'} exists and is not an empty directory"),
     }
+    (tmp_path / "file").write_text("kept\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}  # this checkout's src/
     procs = {name: subprocess.Popen([sys.executable, "-m", "avlab.cli", *argv], env=env, text=True,
                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -639,6 +765,7 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert procs[name].returncode == code, (name, stderr)
         assert err in stderr, (name, stderr)
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    assert sorted(os.listdir(tmp_path)) == ["file"] and (tmp_path / "file").read_text() == "kept\n"
 
 
 # cli.main's except clauses: validation errors exit 1, every other error exits 2

@@ -320,6 +320,17 @@ def test_ablation_checks_every_variant_fits_before_training(monkeypatch):
     assert trained == []
 
 
+# the rule `train` holds its train set to: with no dataset fakes, "none" leaves no source of fakes
+@pytest.mark.parametrize("fake_fraction, value", [(0.0, "none"), (1.0, "replace")], ids=["no_fakes", "no_reals"])
+def test_ablation_checks_every_train_set_has_reals_and_fakes_before_training(monkeypatch, fake_fraction, value):
+    trained = []
+    monkeypatch.setattr(evalkit, "train", lambda *args: trained.append(args))
+    cfg = tiny_run_config(train_data=DataSpec(n=12, fake_fraction=fake_fraction))
+    with pytest.raises(ConfigError, match=f"^the train set of manipulation_kind value '{value}' must contain real"):
+        ablation_run(cfg, "manipulation_kind", values=["replace", "none"], seeds=(0,))
+    assert trained == []
+
+
 # the rule `avlab ablate --seeds` applies: a float or bool seed is not truncated to an int
 @pytest.mark.parametrize("seeds", [(), (0, -1), (0.5,), (True,)], ids=["empty", "negative", "float", "bool"])
 def test_ablation_rejects_empty_seeds(monkeypatch, seeds):

@@ -235,11 +235,11 @@ def test_repeated_training_does_not_refault_the_heap():
 
 def test_train_validates_inputs():
     cfg = tiny_run_config()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^train set is empty$"):
         train(cfg, [])
     only_real = tiny_train_set(cfg, fake_fraction=0.0)
     cfg_no_aug = tiny_run_config(pseudo_fake_prob=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^train set must contain real pairs and a source of fakes \("):
         train(cfg_no_aug, only_real)
 
 
