@@ -7,19 +7,21 @@ bit-identically.  An ``--out`` that exists and is not an empty directory
 exits 1 before any work.  The outputs are built in a hidden staging
 directory beside ``--out``, renamed into place on success and removed on
 any failure or interrupt; only a killed process (SIGKILL) leaves one behind.
+A failed run also removes the missing parents of ``--out`` that it made.
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
-Validation errors include every ``ConfigError``: an unknown key, a
-wrong-typed value or a malformed detector block in a ``--config`` or
-``--spec`` file, a ``--set`` value or a checkpoint config.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.  A
+``ConfigError`` or ``ContainerFormatError`` is a validation error, any other
+exception a runtime failure.  ``_read`` reads every file and JSON value the
+user names and makes an ``OSError`` or ``ValueError`` on the way a
+``ConfigError`` "FLAG PATH: cause", so a bad input always exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -64,9 +66,24 @@ def _apply_override(tree: dict, path: list[str], value) -> None:
     node[path[-1]] = value
 
 
+def _read(flag: str, value, load, errors=(OSError, ValueError)):
+    """``load(value)``, where ``value`` is the file or JSON text the user gave with ``flag``; an
+    ``errors`` on the way is a ConfigError "FLAG VALUE: cause".  Container loaders pass ``OSError``
+    alone: their ConfigError and ContainerFormatError already name the file and pass through."""
+    try:
+        return load(value)
+    except errors as exc:
+        cause = exc.strerror if isinstance(exc, OSError) and exc.filename == os.fspath(value) else exc
+        raise ConfigError(f"{flag} {value}: {cause}") from exc
+
+
+def _json_file(decode):  # a loader for _read: the file's UTF-8 text as JSON, decoded by ``decode``
+    return lambda path: decode(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
 def load_config(args) -> trainloop.RunConfig:
-    raw = json.loads(Path(args.config).read_text()) if args.config else {}
-    resolved = trainloop.RunConfig.from_dict(raw).to_dict()
+    read = _json_file(trainloop.RunConfig.from_dict)
+    resolved = (_read("--config", args.config, read) if args.config else trainloop.RunConfig()).to_dict()
     for item in args.set or []:
         path, value = _parse_override(item)
         _apply_override(resolved, path, value)
@@ -89,7 +106,7 @@ def _load_dir(path: Path) -> list[avdata.AVPair]:
     files = sorted(path.glob("pair-*.avtc"))
     if not files:
         raise ConfigError(f"no pair-*.avtc files under {path}")
-    pairs = [avdata.load_pair(f) for f in files]
+    pairs = [_read("--data", f, avdata.load_pair, OSError) for f in files]
     shapes = [(p.visual.data.shape, p.audio.data.shape) for p in pairs]
     for f, shape in zip(files, shapes):
         if shape != shapes[0]:
@@ -126,7 +143,7 @@ def cmd_augment(args, cfg: trainloop.RunConfig, stage: Path) -> str:
 
     fixed_spec = None
     if args.spec:
-        fixed_spec = pseudofake.ManipulationSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        fixed_spec = _read("--spec", args.spec, _json_file(pseudofake.ManipulationSpec.from_dict))
         fixed_spec.validate(getattr(pairs[0], args.modality).t)  # _load_dir: every pair has this length
 
     records = []
@@ -163,7 +180,7 @@ def cmd_train(args, cfg: trainloop.RunConfig, stage: Path) -> str:
 
 
 def cmd_eval(args, cfg: trainloop.RunConfig, stage: Path) -> str:
-    model, _ = load_checkpoint(args.checkpoint)
+    model, _ = _read("--checkpoint", args.checkpoint, load_checkpoint, OSError)
     policy = evalkit.SubsequencePolicy(length=cfg.synth.t_v)
     lines = []
     for split in evalkit.SPLITS:
@@ -175,8 +192,8 @@ def cmd_eval(args, cfg: trainloop.RunConfig, stage: Path) -> str:
 
 
 def cmd_ablate(args, cfg: trainloop.RunConfig, stage: Path) -> str:
-    values = json.loads(args.values) if args.values else None
-    seeds = evalkit.check_seeds(json.loads(args.seeds) if args.seeds else [0, 1, 2], "--seeds")
+    values = _read("--values", args.values, json.loads) if args.values else None
+    seeds = evalkit.check_seeds(_read("--seeds", args.seeds, json.loads) if args.seeds else [0, 1, 2], "--seeds")
     evalkit.check_values(cfg, args.axis, values, "--values")
     table = evalkit.ablation_run(cfg, args.axis, values=values, seeds=seeds)
     (stage / f"ablation_{args.axis}.json").write_text(table.to_json() + "\n")
@@ -253,19 +270,23 @@ def main(argv=None) -> int:
         if out.exists() and not (out.is_dir() and not any(out.iterdir())):
             raise ConfigError(f"--out {args.out} exists and is not an empty directory")
         cfg = load_config(args)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))  # same filesystem
+        made = [p for p in out.parents if not p.exists()]  # the parents this run creates, bottom up
         try:
-            stage = staging / "out"
-            stage.mkdir()  # the mode a plain mkdir gives, not mkdtemp's 0700
-            (stage / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-            text = args.fn(args, cfg, stage)
-            os.replace(stage, out)
+            _read("--out", args.out, lambda _: out.parent.mkdir(parents=True, exist_ok=True), OSError)
+            # beside --out, on its filesystem; removed on any exception, KeyboardInterrupt included
+            with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent, ignore_cleanup_errors=True) as tmp:
+                stage = Path(tmp) / "out"
+                stage.mkdir()  # the mode a plain mkdir gives, not mkdtemp's 0700
+                (stage / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+                text = args.fn(args, cfg, stage)
+                os.replace(stage, out)
         finally:
-            shutil.rmtree(staging, ignore_errors=True)
+            for parent in made:  # each while empty, so none once --out is in place
+                with contextlib.suppress(OSError):
+                    parent.rmdir()
         print(text)
         return EXIT_OK
-    except (ConfigError, ContainerFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ContainerFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -162,7 +162,8 @@ def evaluate(
     in the report.  Windows go to the model in batches of up to ``batch_size``
     consecutive windows of equal length, so videos may differ in length, also
     when whole videos are scored.  Windows the detector cannot take, a video
-    whose frame shape or samples per frame differ from the first video's, and a
+    whose frame shape or samples per frame differ from the first video's, an
+    eval set without both real and fake videos (checked before any scoring) and a
     ``batch_size`` below 1 raise ConfigError.
     """
     if batch_size < 1:
@@ -174,6 +175,9 @@ def evaluate(
         raise ConfigError("eval set is empty")
     check_uniform(eval_set, "frame shape and samples per frame",
                   lambda p: (p.visual.data.shape[1:], p.audio.t // p.visual.t))
+    n_fake = sum(p.label == "fake" for p in eval_set)
+    if n_fake in (0, len(eval_set)):
+        raise ConfigError(f"eval set needs real and fake videos, got {len(eval_set) - n_fake} real, {n_fake} fake")
 
     per_video = [_windows(pair, policy) for pair in eval_set]
     jobs = [w for wins, _ in per_video for w in wins]

@@ -237,20 +237,20 @@ def train(cfg: RunConfig, train_set: list[AVPair]) -> TrainResult:
 
     The per-epoch loss recorded (and minimized over) is the mean
     per-sample BCE accumulated in dataset order, so it is independent
-    of batch partitioning.  The train set is checked before the model is
-    built: ConfigError for an empty set, pairs whose shapes differ from the
-    first pair's, no real pairs or no source of fakes, or a first pair the
-    detector does not fit (one tape-free forward of a fresh model).
+    of batch partitioning.  The train set is checked before the first step:
+    ConfigError for an empty set, pairs whose shapes differ from the first
+    pair's, no real pairs or no source of fakes, or a first pair the detector
+    does not fit (one tape-free forward of the model it trains).
     """
     cfg.validate()
     if not train_set:
         raise ConfigError("train set is empty")
     check_uniform(train_set, "visual and audio shapes", lambda p: (p.visual.data.shape, p.audio.data.shape))
     check_fake_source(cfg, any(p.label == "real" for p in train_set), any(p.label == "fake" for p in train_set))
-    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):
-        Detector(cfg.detector).infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
     _pin_heap()
     model = Detector(cfg.detector, seed=derive_seed(cfg.seed, "init"), dtype=np.float32)
+    with must_fit(f"train pair {train_set[0].meta.source_id!r}"):
+        model.infer(train_set[0].visual.data[None], train_set[0].audio.data[None])
     opt = Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     donors = [p for p in train_set if p.label == "real"]
     n = len(train_set)

@@ -393,7 +393,7 @@ def test_ablate_rejects_a_value_the_clips_do_not_fit(tiny_config_file, tmp_path,
          "detector does not fit t_prime value 16 on clips of 8 frames"),
         (["train", "--set", "detector.t_prime=64"], 1, "detector does not fit train pair 'train-00000'"),
         (["eval", "--checkpoint", "{tmp}/none.avtc"], 1, "none.avtc"),
-        (["eval", "--checkpoint", "{tmp}"], 2, "runtime failure: IsADirectoryError"),
+        (["eval", "--checkpoint", "{tmp}"], 1, "error: --checkpoint {tmp}: Is a directory"),
         (["augment", "--data", "{tmp}"], 1, "no pair-*.avtc files under"),
         (["augment", "--data", "{tmp}/data/train", "--spec", "{tmp}/spec.json"], 1,
          "chunk [6, 11) exceeds length 8"),
@@ -412,8 +412,71 @@ def test_fit_failure_writes_nothing_under_out(tiny_config_file, tmp_path, capsys
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     before = sorted(os.listdir(tmp_path))
     assert main([*argv, "--config", str(tiny_config_file), "--out", str(out)]) == code
-    assert cause in capsys.readouterr().err
+    assert cause.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before  # a failed run leaves no --out and no staging directory
+
+
+def test_failed_run_removes_only_the_parents_of_out_it_made(tiny_config_file, tmp_path):
+    (tmp_path / "kept").mkdir()  # existed before the run: stays, empty
+    before = sorted(os.listdir(tmp_path))
+    for out in (tmp_path / "a" / "b" / "c", tmp_path / "kept" / "b" / "c"):
+        argv = ["synth", "--config", str(tiny_config_file), "--set", "synth.t_v=2", "--out", str(out)]
+        assert main(argv) == 1  # fails inside cmd_synth, after the parents and the staging directory are made
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.listdir(tmp_path / "kept")
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "a" / "b" / "c")]) == 0
+    assert (tmp_path / "a" / "b" / "c" / "manifest.json").exists()  # a good run still makes them
+
+
+def test_every_bad_user_input_exits_one_naming_its_flag_and_path(tiny_config_file, tmp_path, capsys):
+    # each flag that names a file or a JSON value, against each kind of bad input that applies to it
+    checkpoint = tmp_path / "checkpoint.avtc"
+    save_checkpoint(checkpoint, Detector(DetectorConfig(**TINY_CONFIG["detector"])))
+    files = {
+        "empty": b"",
+        "random_bytes": np.random.default_rng(0).bytes(64),
+        "not_utf8": b'{"seed": "\xff"}',
+        "wrong_json_type": b"[1, 2]",
+        "truncated_container": checkpoint.read_bytes()[:300],
+    }
+    bad = tmp_path / "bad"
+    (bad / "directory").mkdir(parents=True)
+    for kind, raw in files.items():
+        (bad / kind).write_bytes(raw)
+    data = tmp_path / "data"  # two stored reals, so that augment gets as far as --spec
+    data.mkdir()
+    synth = avdata.SynthConfig(**TINY_CONFIG["synth"])
+    for i in range(2):
+        avdata.save_pair(data / f"pair-{i:05d}.avtc", avdata.synth_real_pair(synth, np.random.default_rng(i)))
+    pair_is_dir = tmp_path / "pair_is_dir" / "pair-00000.avtc"
+    pair_is_dir.mkdir(parents=True)
+    config = ["--config", str(tiny_config_file)]
+    out = tmp_path / "run"
+
+    cases = []  # (flag, kind, argv, --out, the path the message names, whether the flag is named)
+    for kind in ("missing", "directory", *files):
+        path = str(bad / kind)
+        # a file read but not a container fails in the checkpoint loader, whose message names the file alone
+        loader_error = kind in files
+        cases += [
+            ("--config", kind, ["synth", "--config", path], out, path, True),
+            ("--spec", kind, ["augment", *config, "--data", str(data), "--spec", path], out, path, True),
+            ("--checkpoint", kind, ["eval", *config, "--checkpoint", path], out, path, not loader_error),
+        ]
+    cases += [
+        ("--values", "not_json", ["ablate", *config, "--axis", "attention", "--values", "[tru"], out, "[tru", True),
+        ("--seeds", "not_json", ["ablate", *config, "--axis", "attention", "--seeds", "[0,"], out, "[0,", True),
+        ("--data", "pair_is_dir", ["augment", *config, "--data", str(pair_is_dir.parent)], out, str(pair_is_dir),
+         True),
+        ("--out", "under_a_file", ["synth", *config], bad / "empty" / "run", str(bad / "empty" / "run"), True),
+    ]
+    before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    for flag, kind, argv, out_path, path, names_flag in cases:
+        assert main([*argv, "--out", str(out_path)]) == 1, (flag, kind)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}: " if names_flag else f"error: {path}: "), (flag, kind, err)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before, (flag, kind)
 
 
 def _failing(fn, error, k):
@@ -513,6 +576,24 @@ def test_eval_rejects_windows_the_checkpoint_does_not_fit(tiny_config_file, tmp_
     assert err.startswith("error: detector does not fit eval windows of 4 frames: ")
     assert "adaptive pool cannot upsample: 4 bins for length 2" in err
     assert not out.exists()
+
+
+def test_eval_on_a_split_without_fakes_exits_one_before_scoring(tiny_config_file, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(data)]) == 0
+    for path in (data / "eval_in_distribution").glob("pair-*.avtc"):
+        if avdata.load_pair(path).label == "fake":
+            path.unlink()
+    checkpoint = tmp_path / "checkpoint.avtc"
+    save_checkpoint(checkpoint, Detector(DetectorConfig(**TINY_CONFIG["detector"])))
+    scored = []
+    monkeypatch.setattr(Detector, "score_batch", lambda self, visuals, audios: scored.append(len(visuals)))
+    out = tmp_path / "eval"
+    rc = main(["eval", "--config", str(tiny_config_file), "--checkpoint", str(checkpoint), "--data", str(data),
+               "--out", str(out)])
+    assert rc == 1
+    assert "eval set needs real and fake videos, got 4 real, 0 fake" in capsys.readouterr().err
+    assert scored == [] and not out.exists()
 
 
 def _wrong_config_hash(tensors, meta):
@@ -750,8 +831,10 @@ def test_module_entry_point_exit_codes(tmp_path):
     cases = {
         "config_error": (["synth", "--set", "no.such.key=1", "--out", str(tmp_path / "a")], 1, "error: "),
         "usage_error": (["frobnicate"], 1, "usage: avlab"),
-        "checkpoint_is_dir": (["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "b")], 2,
-                              "runtime failure: IsADirectoryError"),
+        "checkpoint_is_dir": (["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "b")], 1,
+                              f"error: --checkpoint {tmp_path}: Is a directory"),
+        "config_is_dir": (["synth", "--config", str(tmp_path), "--out", str(tmp_path / "c")], 1,
+                          f"error: --config {tmp_path}: Is a directory"),
         "out_is_file": (["synth", "--out", str(tmp_path / "file")], 1,
                         f"error: --out {tmp_path / 'file'} exists and is not an empty directory"),
     }
@@ -764,16 +847,17 @@ def test_module_entry_point_exit_codes(tmp_path):
         _, stderr = procs[name].communicate(timeout=60)
         assert procs[name].returncode == code, (name, stderr)
         assert err in stderr, (name, stderr)
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    assert not any((tmp_path / name).exists() for name in "abc")
     assert sorted(os.listdir(tmp_path)) == ["file"] and (tmp_path / "file").read_text() == "kept\n"
 
 
-# cli.main's except clauses: validation errors exit 1, every other error exits 2
+# cli.main's except clauses: ConfigError and ContainerFormatError exit 1, every other error exits 2; a
+# stdlib error from a user's input file becomes a ConfigError where cli._read reads it, not here
 EXIT_CODE_TABLE = [
     (ConfigError("bad config"), 1),
     (ContainerFormatError("bad container", 3), 1),
-    (FileNotFoundError("no such file"), 1),
-    (json.JSONDecodeError("bad json", "{", 1), 1),
+    (FileNotFoundError("no such file"), 2),
+    (json.JSONDecodeError("bad json", "{", 1), 2),
     (ShapeError("bad shape"), 2),
     (MetricError("single-class AUC"), 2),
     (DivergenceError("non-finite loss"), 2),

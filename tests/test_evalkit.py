@@ -291,6 +291,22 @@ def test_evaluate_rejects_windows_the_detector_does_not_fit():
         evaluate(model, eval_set, SubsequencePolicy(length=8))
 
 
+@pytest.mark.parametrize("labels", [["real", "real", "real"], ["fake", "fake"]], ids=["no_fakes", "no_reals"])
+def test_evaluate_rejects_a_single_class_set_before_scoring(labels):
+    class Recording(_StubModel):
+        calls = []
+
+        def score_batch(self, visuals, audios):
+            self.calls.append(len(visuals))
+            return super().score_batch(visuals, audios)
+
+    pairs = [_stub_pair([0.5] * 4, label, source_id=f"v{i}") for i, label in enumerate(labels)]
+    message = f"eval set needs real and fake videos, got {labels.count('real')} real, {labels.count('fake')} fake"
+    with pytest.raises(ConfigError, match=message):
+        evaluate(Recording(), pairs, SubsequencePolicy(length=4))
+    assert Recording.calls == []
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_evaluate_rejects_batch_size_below_one(batch_size):
     pairs = [_stub_pair([0.8] * 4, "fake"), _stub_pair([0.2] * 4, "real")]
