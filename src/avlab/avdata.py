@@ -32,6 +32,10 @@ FAKE_MODES = ("global_desync", "local_desync")  # the generator's ways of making
 # period (20 samples) divides the samples-per-frame ratio for the stock
 # configs, which keeps per-frame RMS exactly proportional to the envelope.
 CARRIER_CYCLES_PER_SAMPLE = 0.05
+# Second-harmonic distortion mixed into globally-desynced fakes only;
+# plays the role of the synthesis artifacts real dataset fakes carry.
+# Locally-desynced fakes splice real material and stay artifact-free.
+FAKE_AUDIO_ARTIFACT = 0.15
 
 
 @dataclass
@@ -152,10 +156,6 @@ class SynthConfig:
     t_a: int = 1600
     envelope_bandwidth: float = 4.0  # max cycles per clip; also the sinusoid count
     noise_std: float = 0.02
-    # Second-harmonic distortion mixed into globally-desynced fakes only;
-    # plays the role of the synthesis artifacts real dataset fakes carry.
-    # Locally-desynced fakes splice real material and stay artifact-free.
-    fake_audio_artifact: float = 0.15
 
     def validate(self) -> None:
         dims = (self.t_v, self.c_v, self.h, self.w, self.t_a)
@@ -167,8 +167,6 @@ class SynthConfig:
             raise ConfigError(f"t_a must be a multiple of t_v, got t_a={self.t_a}, t_v={self.t_v}")
         if self.noise_std < 0 or self.envelope_bandwidth < 0:
             raise ConfigError(f"noise_std and envelope_bandwidth must be >= 0, got {self}")
-        if self.fake_audio_artifact < 0:
-            raise ConfigError(f"fake_audio_artifact must be >= 0, got {self}")
 
     @property
     def samples_per_frame(self) -> int:
@@ -208,10 +206,8 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
     noise_v = rng.standard_normal((cfg.t_v, cfg.c_v, cfg.h, cfg.w), dtype=np.float32)
     envs = {"visual": env, "audio": env}
     meta = PairMeta(source_id=source_id, origin=origin)
-    artifact = 0.0
     if origin == "global_desync":
         envs["audio"] = envelope(cfg.t_v, cfg.envelope_bandwidth, rng)
-        artifact = cfg.fake_audio_artifact
     elif origin == "local_desync":
         modality = ("visual", "audio")[int(rng.integers(0, 2))]
         i, l = sample_chunk(cfg.t_v, chunk or ChunkParams(), rng)
@@ -232,8 +228,8 @@ def _synth(cfg: SynthConfig, origin: str, rng: np.random.Generator,
     e_up = np.repeat(envs["audio"], cfg.samples_per_frame)  # zero-order hold keeps chunk edges exact
     theta = 2.0 * np.pi * CARRIER_CYCLES_PER_SAMPLE * np.arange(cfg.t_a)
     carrier = np.sin(theta)
-    if artifact > 0.0:
-        carrier = carrier + artifact * np.sin(2.0 * theta)
+    if origin == "global_desync":
+        carrier = carrier + FAKE_AUDIO_ARTIFACT * np.sin(2.0 * theta)
     wave = (e_up * carrier).astype(np.float32)
     return AVPair(
         visual=visual,
@@ -270,8 +266,8 @@ def synth_fake_pair(
     """One fake pair.
 
     ``global_desync`` builds the two modalities from independent
-    envelopes, and its audio additionally carries the configured
-    synthesis artifact (``fake_audio_artifact``).  ``local_desync``
+    envelopes, and its audio additionally carries a fixed
+    synthesis artifact (:data:`FAKE_AUDIO_ARTIFACT`).  ``local_desync``
     starts from a real pair and swaps one contiguous envelope chunk of
     one modality (chosen uniformly) for an independent segment; it is
     spliced from real material, so it carries no artifact, and outside

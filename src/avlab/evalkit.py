@@ -1,12 +1,12 @@
 """Video-level AUC evaluation and the ablation runner.
 
-Videos are cut into fixed-length windows (subsequences), non-overlapping
-unless the policy sets a shorter stride, and a video's score is the mean
-of the detector's window scores.  Audio is one row of T_a / T_v samples
-per frame, so the same frame boundaries cut both clips; a video shorter
-than a window repeats its last frame and that frame's audio span, and is
-flagged ``padded``.  AUC is the rank-based (Mann-Whitney) statistic with
-ties counted as one half, fake as the positive class.
+Videos are cut into non-overlapping fixed-length windows (subsequences),
+and a video's score is the mean of the detector's window scores.  Audio is
+one row of T_a / T_v samples per frame, so the same frame boundaries cut
+both clips; a video shorter than a window repeats its last frame and that
+frame's audio span, and is flagged ``padded``.  AUC is the rank-based
+(Mann-Whitney) statistic with ties counted as one half, fake as the
+positive class.
 
 Two synthetic eval splits stand in for the in-dataset and the harder
 generalization settings: ``in_distribution`` uses globally desynced
@@ -15,7 +15,6 @@ fakes, ``fine_grained`` uses locally desynced fakes with short chunks.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict, replace
@@ -66,11 +65,9 @@ def auc(scored) -> float:
 
 @dataclass
 class SubsequencePolicy:
-    """Fixed-length splitting; ``stride`` defaults to ``length``
-    (non-overlapping) and ``length=None`` scores whole videos."""
+    """Non-overlapping windows of ``length`` frames."""
 
-    length: int | None = None
-    stride: int | None = None
+    length: int
 
 
 @dataclass
@@ -94,8 +91,7 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
 @dataclass
 class EvalReport:
     auc: float
-    subsequence_length: int | None
-    stride: int | None
+    subsequence_length: int
     videos: list[ScoredVideo]
 
     def to_dict(self) -> dict:
@@ -103,7 +99,6 @@ class EvalReport:
             "auc": self.auc,
             "n_videos": len(self.videos),
             "subsequence_length": self.subsequence_length,
-            "stride": self.stride,
             "videos": [
                 {
                     "video_id": v.video_id,
@@ -131,28 +126,24 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _windows(pair: AVPair, policy: SubsequencePolicy):
+def _windows(pair: AVPair, length: int):
     """(visual, audio) windows of ``pair`` and a padded flag; with the audio viewed
     as one row per frame, one slice cuts, and one repeat pads, both clips."""
     t = pair.visual.t
-    length = policy.length if policy.length is not None else t
-    stride = policy.stride if policy.stride is not None else length
-    if length < 1 or stride < 1:
-        raise ConfigError(f"subsequence length/stride must be >= 1, got {policy}")
     if pair.audio.t % t != 0:
         raise ConfigError("audio length must be a multiple of the frame count")
     clips = [pair.visual.data, pair.audio.data.reshape(t, -1)]
     if t < length:
         clips = [np.concatenate([c, np.repeat(c[-1:], length - t, axis=0)]) for c in clips]
     v, a = clips
-    starts = range(0, len(v) - length + 1, stride)
+    starts = range(0, len(v) - length + 1, length)
     return [(v[s : s + length], a[s : s + length].ravel()) for s in starts], t < length
 
 
 def evaluate(
     model,
     eval_set: list[AVPair],
-    policy: SubsequencePolicy | None = None,
+    policy: SubsequencePolicy,
     batch_size: int = 16,
 ) -> EvalReport:
     """Score every video of ``eval_set`` and compute the video-level AUC.
@@ -160,17 +151,19 @@ def evaluate(
     ``model`` is a Detector or a checkpoint path.  Videos shorter than one
     subsequence are scored as a single edge-padded subsequence and flagged
     in the report.  Windows go to the model in batches of up to ``batch_size``
-    consecutive windows of equal length, so videos may differ in length, also
-    when whole videos are scored.  Windows the detector cannot take, a video
-    whose frame shape or samples per frame differ from the first video's, an
-    eval set without both real and fake videos (checked before any scoring) and a
-    ``batch_size`` below 1 raise ConfigError.
+    consecutive windows, so videos may differ in length.  Windows the detector
+    cannot take raise ConfigError; so do, before any window is scored, a
+    subsequence length or ``batch_size`` below 1, a video whose frame shape or
+    samples per frame differ from the first video's and an eval set without
+    both real and fake videos.
     """
+    length = policy.length
+    if length < 1:
+        raise ConfigError(f"subsequence length must be >= 1, got {length}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
         model, _ = load_checkpoint(model)
-    policy = policy or SubsequencePolicy()
     if not eval_set:
         raise ConfigError("eval set is empty")
     check_uniform(eval_set, "frame shape and samples per frame",
@@ -179,22 +172,20 @@ def evaluate(
     if n_fake in (0, len(eval_set)):
         raise ConfigError(f"eval set needs real and fake videos, got {len(eval_set) - n_fake} real, {n_fake} fake")
 
-    per_video = [_windows(pair, policy) for pair in eval_set]
+    per_video = [_windows(pair, length) for pair in eval_set]
     jobs = [w for wins, _ in per_video for w in wins]
     scores = []
-    for length, run in itertools.groupby(jobs, key=lambda w: len(w[0])):
-        run = list(run)
-        with must_fit(f"eval windows of {length} frames"):
-            for start in range(0, len(run), batch_size):
-                visuals, audios = zip(*run[start : start + batch_size])
-                scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
+    with must_fit(f"eval windows of {length} frames"):
+        for start in range(0, len(jobs), batch_size):
+            visuals, audios = zip(*jobs[start : start + batch_size])
+            scores += map(float, model.score_batch(np.stack(visuals), np.stack(audios)))
     it = iter(scores)
     videos = [
         ScoredVideo(pair.meta.source_id, [next(it) for _ in wins], pair.label, padded)
         for pair, (wins, padded) in zip(eval_set, per_video)
     ]
     value = auc([(v.video_score, v.label) for v in videos])
-    return EvalReport(auc=value, subsequence_length=policy.length, stride=policy.stride, videos=videos)
+    return EvalReport(auc=value, subsequence_length=length, videos=videos)
 
 
 def split_pairs(cfg: RunConfig, split: str, seed: int) -> Iterator[AVPair]:
@@ -331,29 +322,32 @@ def ablation_run(
     seeds: tuple[int, ...] = (0, 1, 2),
 ) -> AblationTable:
     """Train one model per axis value over a shared seed set and report
-    mean AUC on both synthetic eval splits.  Seeds that break
+    mean AUC on both synthetic eval splits; each seed's train set is built
+    once and shared by every value.  Seeds that break
     :func:`check_seeds` or values that break :func:`check_values` raise
     ConfigError before anything is trained."""
     seeds = check_seeds(seeds)
     variants = check_values(base_cfg, axis, values)
-    table = AblationTable(axis=axis, seeds=list(seeds))
-    for value, variant in variants:
-        per_seed = {"in_distribution": [], "fine_grained": []}
-        for seed in seeds:
+    per_seed = [{split: [] for split in SPLITS} for _ in variants]
+    policy = SubsequencePolicy(length=base_cfg.synth.t_v)
+    for seed in seeds:
+        # no axis changes synth or train_data, so every value trains on one set per seed
+        train_set = list(split_pairs(base_cfg, "train", derive_seed(seed, "train-data")))
+        for (_, variant), aucs in zip(variants, per_seed):
             cfg = replace(variant, seed=seed, checkpoint_dir=None)
-            train_set = list(split_pairs(cfg, "train", derive_seed(seed, "train-data")))
-            result = train(cfg, train_set)
-            policy = SubsequencePolicy(length=cfg.synth.t_v)
+            model = train(cfg, train_set).model
             for split in SPLITS:
                 eval_set = list(split_pairs(cfg, split, derive_seed(seed, "eval", split)))
-                per_seed[split].append(evaluate(result.model, eval_set, policy).auc)
+                aucs[split].append(evaluate(model, eval_set, policy).auc)
+    table = AblationTable(axis=axis, seeds=list(seeds))
+    for (value, _), aucs in zip(variants, per_seed):
         table.rows.append(
             {
                 "value": value,
-                "auc_in_distribution": float(np.mean(per_seed["in_distribution"])),
-                "auc_fine_grained": float(np.mean(per_seed["fine_grained"])),
-                "per_seed_in_distribution": per_seed["in_distribution"],
-                "per_seed_fine_grained": per_seed["fine_grained"],
+                "auc_in_distribution": float(np.mean(aucs["in_distribution"])),
+                "auc_fine_grained": float(np.mean(aucs["fine_grained"])),
+                "per_seed_in_distribution": aucs["in_distribution"],
+                "per_seed_fine_grained": aucs["fine_grained"],
             }
         )
     return table

@@ -28,23 +28,21 @@ DIRECTIONS = ("left", "right")
 # "r_min approximately zero": the lower ratio is kept strictly positive
 # and the hard floor of 2 frames takes over at practical lengths.
 R_MIN_TINY = 1e-6
+HARD_MIN = 2  # the shortest chunk: every manipulation needs l >= 2
 
 
 @dataclass(frozen=True)
 class ChunkParams:
-    """Bounds for the chunk-length law ``l ~ U[max(hard_min, floor(r_min*T)), floor(r_max*T)]``."""
+    """Bounds for the chunk-length law ``l ~ U[max(HARD_MIN, floor(r_min*T)), floor(r_max*T)]``."""
 
     r_min: float = R_MIN_TINY
     r_max: float = 1.0
-    hard_min: int = 2
 
     def validate(self) -> None:
         if not (0.0 < self.r_min <= 1.0) or not (0.0 < self.r_max <= 1.0):
             raise ConfigError(f"chunk ratios must lie in (0, 1], got {self}")
         if self.r_min > self.r_max:
             raise ConfigError(f"r_min must not exceed r_max, got {self}")
-        if self.hard_min < 2:
-            raise ConfigError(f"hard_min must be >= 2, got {self.hard_min}")
 
 
 @dataclass
@@ -96,8 +94,8 @@ def chunk_lengths(T: int, cp: ChunkParams) -> tuple[int, int]:
     :class:`ChunkRejected` when no legal chunk exists."""
     cp.validate()
     l_max = int(np.floor(cp.r_max * T))
-    l_min = max(cp.hard_min, int(np.floor(cp.r_min * T)))
-    if T < cp.hard_min or l_max < l_min:
+    l_min = max(HARD_MIN, int(np.floor(cp.r_min * T)))
+    if l_max < l_min:  # also every T < HARD_MIN, as l_max <= T
         raise ChunkRejected(f"no legal chunk for T={T} under {cp}")
     return l_min, l_max
 

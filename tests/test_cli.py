@@ -35,7 +35,7 @@ TINY_CONFIG = {
         "classifier_hidden": 8,
     },
     "train_data": {"n": 16},
-    "eval_data": {"n": 8, "fine_chunk": {"r_min": 0.3, "r_max": 0.8, "hard_min": 2}},
+    "eval_data": {"n": 8, "fine_chunk": {"r_min": 0.3, "r_max": 0.8}},
     "seed": 11,
 }
 
@@ -772,13 +772,6 @@ def test_negative_seed_exits_one(tiny_config_file, tmp_path, capsys, argv, messa
         argv = [*argv, "--config", str(tiny_config_file), "--out", str(tmp_path / "run")]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
-
-
-def test_clips_too_short_for_a_local_fake_exit_one(tiny_config_file, tmp_path, capsys):
-    # eval_data.fine_chunk's r_max = 0.8 leaves no chunk of hard_min = 2 frames in 2
-    argv = ["synth", "--config", str(tiny_config_file), "--set", "synth.t_v=2", "--out", str(tmp_path / "d")]
-    assert main(argv) == 1
-    assert "local_desync fakes of 2 frames: no legal chunk for T=2" in capsys.readouterr().err
 
 
 def test_set_override_applied(tiny_config_file, tmp_path):

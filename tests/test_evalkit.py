@@ -194,18 +194,18 @@ def test_short_video_window_repeats_last_frame_and_its_audio_span():
     assert [(r.padded, len(r.scores)) for r in report.videos] == [(True, 1), (False, 1)]
 
 
-def test_strided_windows_cross_batches_in_order():
-    spf, starts = 4, [0, 2, 4, 6]
+def test_windows_cross_batches_in_order():
+    spf, starts = 4, [0, 2, 4, 6, 8]
     pairs = [_stub_pair(np.arange(10) / 20, "fake", spf, "f0"), _stub_pair(np.arange(10) / 30, "real", spf, "r0")]
     model = _RecordingModel()
-    report = evaluate(model, pairs, SubsequencePolicy(length=4, stride=2), batch_size=3)
-    assert [len(vis) for vis, _ in model.batches] == [3, 3, 2]
+    report = evaluate(model, pairs, SubsequencePolicy(length=2), batch_size=3)
+    assert [len(vis) for vis, _ in model.batches] == [3, 3, 3, 1]
     visuals = np.concatenate([vis for vis, _ in model.batches])
     audios = np.concatenate([aud for _, aud in model.batches])
     windows = [(p, s) for p in pairs for s in starts]
     for (p, s), vis, aud in zip(windows, visuals, audios, strict=True):
-        np.testing.assert_array_equal(vis, p.visual.data[s : s + 4])
-        np.testing.assert_array_equal(aud, p.audio.data[s * spf : (s + 4) * spf])
+        np.testing.assert_array_equal(vis, p.visual.data[s : s + 2])
+        np.testing.assert_array_equal(aud, p.audio.data[s * spf : (s + 2) * spf])
     for p, row in zip(pairs, report.videos, strict=True):
         assert row.video_id == p.meta.source_id and not row.padded
         assert row.scores == [float(p.visual.data[s, 0, 0, 0]) for s in starts]
@@ -261,17 +261,6 @@ def test_evaluate_report_unchanged_by_no_grad():
     assert report.to_json() == evaluate(_TapedScorer(model), eval_set, policy).to_json()
 
 
-def test_whole_videos_of_different_lengths_score_as_alone():
-    model = Detector(TINY_DETECTOR, seed=4)
-    short, long = (make_split(SynthConfig(t_v=t, c_v=1, h=12, w=12, t_a=40 * t), "in_distribution", 2, seed=79)
-                   for t in (16, 24))
-    eval_set = [short[0], long[0], short[1], long[1]]  # each video a run of its own length
-    report = evaluate(model, eval_set)  # whole videos
-    for pair, row in zip(eval_set, report.videos, strict=True):
-        alone = model.score_batch(pair.visual.data[None], pair.audio.data.reshape(1, -1))
-        assert row.scores == [float(alone[0])]
-
-
 def test_make_split_composition():
     cfg = SynthConfig(t_v=8, c_v=1, h=12, w=12, t_a=320)
     for split in ("in_distribution", "fine_grained"):
@@ -311,7 +300,16 @@ def test_evaluate_rejects_a_single_class_set_before_scoring(labels):
 def test_evaluate_rejects_batch_size_below_one(batch_size):
     pairs = [_stub_pair([0.8] * 4, "fake"), _stub_pair([0.2] * 4, "real")]
     with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
-        evaluate(_StubModel(), pairs, batch_size=batch_size)
+        evaluate(_StubModel(), pairs, SubsequencePolicy(length=4), batch_size=batch_size)
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_evaluate_rejects_subsequence_length_below_one_before_scoring(length):
+    model = _RecordingModel()
+    pairs = [_stub_pair([0.8] * 4, "fake"), _stub_pair([0.2] * 4, "real")]
+    with pytest.raises(ConfigError, match=f"subsequence length must be >= 1, got {length}"):
+        evaluate(model, pairs, SubsequencePolicy(length=length))
+    assert model.batches == []
 
 
 def test_ablation_table_structure_t_prime():
@@ -391,6 +389,37 @@ def test_ablation_run_trains_and_scores_the_seeded_splits(monkeypatch):
         expected = evaluate(model, list(split_pairs(cfg, split, derive_seed(seed, "eval", split))), policy)
         assert report.to_dict() == expected.to_dict()  # every window score, bit for bit
         assert row[f"per_seed_{split}"] == [expected.auc]
+
+
+def test_ablation_builds_one_train_set_per_seed(monkeypatch):
+    cfg = tiny_run_config(epochs=1)
+    cfg.train_data = DataSpec(n=12)
+    cfg.eval_data = EvalSpec(n=8, fine_chunk=ChunkParams(0.25, 0.75))
+    values, seeds = [True, False], (0, 1)
+    built = []
+
+    def spy(cfg, split, seed):
+        built.append(split)
+        return split_pairs(cfg, split, seed)
+
+    monkeypatch.setattr(evalkit, "split_pairs", spy)
+    table = ablation_run(cfg, "attention", values=values, seeds=seeds)
+    assert built.count("train") == len(seeds)
+
+    policy = SubsequencePolicy(length=cfg.synth.t_v)
+    for value, row in zip(values, table.rows, strict=True):  # value by value, a train set per training
+        aucs = {split: [] for split in SPLITS}
+        for seed in seeds:
+            variant = replace(cfg, seed=seed, detector=replace(cfg.detector, attention=value))
+            model = train(variant, list(split_pairs(variant, "train", derive_seed(seed, "train-data")))).model
+            for split in SPLITS:
+                eval_set = list(split_pairs(variant, split, derive_seed(seed, "eval", split)))
+                aucs[split].append(evaluate(model, eval_set, policy).auc)
+        assert row == {
+            "value": value,
+            **{f"auc_{split}": float(np.mean(aucs[split])) for split in SPLITS},
+            **{f"per_seed_{split}": aucs[split] for split in SPLITS},
+        }
 
 
 def test_ablation_attention_axis_two_rows():

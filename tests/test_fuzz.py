@@ -143,7 +143,7 @@ def test_only_config_error_escapes_a_mutated_config():
     valid = RunConfig.from_dict(TINY_CONFIG).to_dict()
     _decode_and_run(valid)
     paths = list(_leaf_paths(valid))
-    assert len(paths) == 57
+    assert len(paths) == 54
     escapes = []
     for path in paths:
         for value in LEAF_VALUES:

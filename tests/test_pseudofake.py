@@ -191,7 +191,7 @@ def test_sample_chunk_forced_full():
 
 
 def test_sample_chunk_rejects_tiny():
-    cp = ChunkParams(r_max=0.25)  # floor(0.25 * 4) = 1 < hard_min
+    cp = ChunkParams(r_max=0.25)  # floor(0.25 * 4) = 1 < HARD_MIN
     with pytest.raises(ChunkRejected):
         sample_chunk(4, cp, substream(0, "reject"))
 

@@ -39,6 +39,8 @@ def test_decode_keeps_valid_values_as_given():
         ({"weight_decay": math.inf}, "config key weight_decay must be a finite float, got inf"),
         ({"synth": {"envelope_bandwidth": -math.inf}}, "config key synth.envelope_bandwidth must be a finite float"),
         ({"eval_data": {"fine_chunk": {"r_max": math.nan}}}, "config key eval_data.fine_chunk.r_max must be a finite"),
+        ({"chunk": {"hard_min": 2}}, "config has unknown key chunk.hard_min"),
+        ({"synth": {"fake_audio_artifact": 0.15}}, "config has unknown key synth.fake_audio_artifact"),
     ],
 )
 def test_decode_rejects_malformed_config(data, message):
